@@ -269,13 +269,14 @@ int main(int argc, char** argv) {
                                alone.transfer[0][0]) == 0.0,
                   "warm session serves bit-identical answers");
 
-    // ---- no-fault overhead: guardrails on vs off, best-of-3 each. --------
+    // ---- no-fault overhead: guardrails on vs off, best-of-5 each. --------
     // Deadline triage + bounded-queue admission + disarmed fault points must
-    // be nearly free on the healthy path. Min-of-3 on both sides cancels the
-    // scheduler noise a single-shot ratio would drown in.
-    double ms_guarded = ms_batched, ms_plain = 1e300;
+    // be nearly free on the healthy path. Min-of-5 interleaved pairs on both
+    // sides cancels the scheduler noise a single-shot ratio would drown in,
+    // and pairing keeps host-speed drift from favouring either side.
+    double ms_guarded = 1e300, ms_plain = 1e300;
     Results scratch;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < 5; ++rep) {
         ms_plain = std::min(ms_plain, run_clients(warm, w, util::Deadline(), scratch));
         ms_guarded = std::min(
             ms_guarded, run_clients(session, w, util::Deadline::after_ms(120e3), scratch));

@@ -14,7 +14,8 @@
 // timestamp), rides inside the QueryBatcher item through triage → flush lane
 // → slab fulfilment, and collects one Span per pipeline stage:
 //
-//   kQueueWait   submit → flusher triage (time spent in the ingress queue)
+//   kQueueWait   submit → batch sealed (the ingress queue plus the flush
+//                collect window; a query expired in the queue ends at triage)
 //   kStamp       parameter stamping (per flush group, shared by its items)
 //   kSolve       the engine solve for this item
 //   kFulfil      solve end → result visible in the slab channel

@@ -48,14 +48,24 @@ std::string point_detail(const std::vector<double>& p) {
     return p.empty() ? std::string() : std::to_string(p[0]);
 }
 
-/// Chunk count for fanning `n` lane units into the combined task set:
-/// mirrors the pool's own oversubscription so the work-stealing scheduler
-/// has slack to interleave lanes, without one task per unit.
-int lane_chunks(int n, int threads) {
+/// Splits `n` lane units into contiguous [b, e) chunks for the combined
+/// task set and calls `f(b, e)` per chunk (none when n == 0). The chunk
+/// count mirrors the pool's own oversubscription so the work-stealing
+/// scheduler has slack to interleave lanes, without one task per unit.
+template <class F>
+void for_each_chunk(int n, int threads, F&& f) {
     const int width = threads == 1
                           ? 1
                           : (threads > 1 ? threads : util::ThreadPool::global().size());
-    return std::min(n, std::max(1, width * util::ThreadPool::kChunksPerWorker));
+    const int chunks =
+        std::min(n, std::max(1, width * util::ThreadPool::kChunksPerWorker));
+    for (int c = 0; c < chunks; ++c)
+        f(static_cast<int>(static_cast<long long>(n) * c / chunks),
+          static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks));
+}
+
+void bump(std::atomic<long>& counter, long n = 1) {
+    counter.fetch_add(n, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -71,14 +81,14 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine* engine, QueryFallbacks fall
       level_(delay_level),
       opts_(opts),
       queue_(static_cast<std::size_t>(std::max(0, opts.max_pending))),
+      lanes_(TransferLane("transfer",
+                          obs::Registry::global().histogram("transfer.latency_ns")),
+             DelayLane("delay", obs::Registry::global().histogram("delay.latency_ns")),
+             PoleLane("pole", obs::Registry::global().histogram("pole.latency_ns"))),
       obs_queue_wait_(obs::Registry::global().histogram("query.queue_wait_ns")),
       obs_stamp_(obs::Registry::global().histogram("query.stamp_ns")),
       obs_solve_(obs::Registry::global().histogram("query.solve_ns")),
-      obs_fulfil_(obs::Registry::global().histogram("query.fulfil_ns")),
-      obs_transfer_latency_(
-          obs::Registry::global().histogram("transfer.latency_ns")),
-      obs_delay_latency_(obs::Registry::global().histogram("delay.latency_ns")),
-      obs_pole_latency_(obs::Registry::global().histogram("pole.latency_ns")) {
+      obs_fulfil_(obs::Registry::global().histogram("query.fulfil_ns")) {
     check(opts_.max_batch >= 1, "QueryBatcher: max_batch must be >= 1");
     check(opts_.max_wait_ms >= 0.0, "QueryBatcher: max_wait_ms must be >= 0");
     check(opts_.max_pending >= 0, "QueryBatcher: max_pending must be >= 0");
@@ -108,26 +118,24 @@ void QueryBatcher::close() {
     if (flusher_.joinable()) flusher_.join();
 }
 
-template <class ItemT, class ResultT>
-Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item) {
+template <class Arg, class Result>
+Future<Result> QueryBatcher::admit(Query<Arg, Result> query) {
+    util::ResultSlab<Result>& slab = lane_of(query).slab;
     auto opened = slab.open();
-    item.result = opened.first;
+    query.result = opened.first;
     // The query's trace is born HERE, on the submitting thread: the mint
     // stamps submit time, and every later stage appends to this one object
     // as it rides through triage and the flush lanes. Inactive (id 0, no
     // clock read) when telemetry is off.
-    item.trace = obs::QueryTrace::mint();
-    if (item.deadline.expired()) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.expired;
-        }
+    query.trace = obs::QueryTrace::mint();
+    if (query.deadline.expired()) {
+        bump(stats_.expired);
         slab.set_error(opened.first,
                        std::make_exception_ptr(DeadlineExceeded(
                            "QueryBatcher: deadline expired before admission")));
         return std::move(opened.second);
     }
-    Item wrapped(std::move(item));
+    Item wrapped(std::move(query));
     // try_push moves from `wrapped` only on kOk — on rejection the channel
     // (a POD handle we still hold) is failed cleanly. The submitting thread
     // NEVER sees a throw for load or lifecycle; everything arrives through
@@ -135,47 +143,37 @@ Future<ResultT> QueryBatcher::admit(util::ResultSlab<ResultT>& slab, ItemT item)
     switch (queue_.try_push(wrapped)) {
         case util::PushStatus::kOk:
             break;
-        case util::PushStatus::kFull: {
-            {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.shed;
-            }
+        case util::PushStatus::kFull:
+            bump(stats_.shed);
             slab.set_error(opened.first, std::make_exception_ptr(OverloadError(
                                              "QueryBatcher: shed — " +
                                              std::to_string(opts_.max_pending) +
                                              " queries already pending")));
             break;
-        }
-        case util::PushStatus::kClosed: {
-            {
-                util::MutexLock lock(stats_mutex_);
-                ++stats_.rejected_closed;
-            }
+        case util::PushStatus::kClosed:
+            bump(stats_.rejected_closed);
             slab.set_error(opened.first, std::make_exception_ptr(ServiceClosed(
                                              "QueryBatcher: submit after close")));
             break;
-        }
     }
     return std::move(opened.second);
 }
 
 Future<la::ZMatrix> QueryBatcher::submit_transfer(std::vector<double> p, la::cplx s,
                                                   util::Deadline deadline) {
-    return admit<TransferItem, la::ZMatrix>(transfer_slab_,
-                                            TransferItem{std::move(p), s, deadline, {}});
+    return admit(Query<la::cplx, la::ZMatrix>{std::move(p), s, deadline, {}, {}});
 }
 
 Future<DelayResult> QueryBatcher::submit_delay(std::vector<double> p,
                                                util::Deadline deadline) {
     check(transient_ != nullptr, "QueryBatcher: no transient runner configured");
-    return admit<DelayItem, DelayResult>(delay_slab_,
-                                         DelayItem{std::move(p), deadline, {}});
+    return admit(Query<std::monostate, DelayResult>{std::move(p), {}, deadline, {}, {}});
 }
 
 Future<std::vector<la::cplx>> QueryBatcher::submit_poles(std::vector<double> p,
                                                          util::Deadline deadline) {
-    return admit<PoleItem, std::vector<la::cplx>>(pole_slab_,
-                                                  PoleItem{std::move(p), deadline, {}});
+    return admit(
+        Query<std::monostate, std::vector<la::cplx>>{std::move(p), {}, deadline, {}, {}});
 }
 
 void QueryBatcher::flush() {
@@ -192,8 +190,18 @@ void QueryBatcher::flush() {
 }
 
 QueryBatcherStats QueryBatcher::stats() const {
-    util::MutexLock lock(stats_mutex_);
-    return stats_;
+    constexpr auto relaxed = std::memory_order_relaxed;
+    QueryBatcherStats s;
+    s.queries = stats_.queries.load(relaxed);
+    s.batches = stats_.batches.load(relaxed);
+    s.largest_batch = stats_.largest_batch.load(relaxed);
+    s.transfer_queries = stats_.transfer_queries.load(relaxed);
+    s.transfer_groups = stats_.transfer_groups.load(relaxed);
+    s.shed = stats_.shed.load(relaxed);
+    s.expired = stats_.expired.load(relaxed);
+    s.rejected_closed = stats_.rejected_closed.load(relaxed);
+    s.flush_failures = stats_.flush_failures.load(relaxed);
+    return s;
 }
 
 void QueryBatcher::flusher_loop() {
@@ -202,88 +210,45 @@ void QueryBatcher::flusher_loop() {
         std::optional<Item> first = queue_.pop();
         if (!first) break;  // closed and drained
 
-        std::vector<TransferItem> transfers;
-        std::vector<DelayItem> delays;
-        std::vector<PoleItem> poles;
         std::vector<FlushItem> acks;
         int nqueries = 0;
-        // Sorts one popped item into its lane; true = flush marker (stop
-        // collecting so the marker's "everything before me" promise holds).
-        // Deadline triage happens HERE: a query that expired while queued is
-        // completed with DeadlineExceeded now instead of riding a batch
-        // whose result it can no longer use.
-        auto take = [&](Item&& item) -> bool {
-            if (std::holds_alternative<FlushItem>(item)) {
-                acks.push_back(std::get<FlushItem>(item));
+        // Sorts one popped item (visited once) into its lane's pending
+        // batch; true = flush marker (stop collecting so the marker's
+        // "everything before me" promise holds). Deadline triage happens
+        // HERE: a query that expired while queued is completed with
+        // DeadlineExceeded now instead of riding a batch whose result it can
+        // no longer use.
+        auto take = [&](auto& query) -> bool {
+            if constexpr (std::is_same_v<std::decay_t<decltype(query)>, FlushItem>) {
+                acks.push_back(query);
                 return true;
-            }
-            // Triage IS the end of the queue-wait stage: one clock read per
-            // popped item (telemetry on only), shared by the span and the
-            // expiry records below.
-            const std::int64_t tnow =
-                obs::enabled() ? util::Timer::now_ns() : 0;
-            const bool expired = std::visit(
-                [](const auto& it) {
-                    if constexpr (std::is_same_v<std::decay_t<decltype(it)>, FlushItem>)
-                        return false;
-                    else
-                        return it.deadline.expired();
-                },
-                item);
-            if (expired) {
-                // Count BEFORE failing the channel (same order as admit):
-                // a stats() read right after this ticket resolves must
-                // already see the expiry.
-                {
-                    util::MutexLock lock(stats_mutex_);
-                    ++stats_.expired;
+            } else {
+                auto& lane = lane_of(query);
+                if (!query.deadline.expired()) {
+                    lane.pending.push_back(std::move(query));
+                    ++nqueries;
+                    return false;
                 }
-                // An expired query's trace still tells its story: all
-                // queue-wait, resolved as a failure, recorded now (it will
-                // never reach a flush lane).
-                auto expire_trace = [&](obs::QueryTrace& trace,
-                                        const char* lane) {
-                    if (!trace.active()) return;
-                    trace.add(obs::Stage::kQueueWait, trace.submit_ns, tnow);
-                    trace.ok = false;
-                    if (tnow != 0)
-                        obs_queue_wait_.record(tnow - trace.submit_ns);
-                    obs::TraceStore::global().record(trace, lane);
-                };
-                const auto error = std::make_exception_ptr(DeadlineExceeded(
-                    "QueryBatcher: deadline expired in the queue"));
-                if (auto* t = std::get_if<TransferItem>(&item)) {
-                    expire_trace(t->trace, "transfer");
-                    transfer_slab_.set_error(t->result, error);
-                } else if (auto* d = std::get_if<DelayItem>(&item)) {
-                    expire_trace(d->trace, "delay");
-                    delay_slab_.set_error(d->result, error);
-                } else if (auto* q = std::get_if<PoleItem>(&item)) {
-                    expire_trace(q->trace, "pole");
-                    pole_slab_.set_error(q->result, error);
+                // Count BEFORE failing the channel (same order as admit). The
+                // expired query's trace still tells its story: all
+                // queue-wait, resolved as a failure, recorded now (it never
+                // reaches a flush lane).
+                bump(stats_.expired);
+                if (obs::enabled() && query.trace.active()) {
+                    const std::int64_t tnow = util::Timer::now_ns();
+                    query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns, tnow);
+                    query.trace.ok = false;
+                    obs_queue_wait_.record(tnow - query.trace.submit_ns);
+                    obs::TraceStore::global().record(query.trace, lane.name);
                 }
+                lane.slab.set_error(query.result,
+                                    std::make_exception_ptr(DeadlineExceeded(
+                                        "QueryBatcher: deadline expired in the queue")));
                 return false;
             }
-            if (tnow != 0)
-                std::visit(
-                    [&](auto& it) {
-                        if constexpr (!std::is_same_v<std::decay_t<decltype(it)>,
-                                                      FlushItem>)
-                            it.trace.add(obs::Stage::kQueueWait,
-                                         it.trace.submit_ns, tnow);
-                    },
-                    item);
-            ++nqueries;
-            if (std::holds_alternative<TransferItem>(item))
-                transfers.push_back(std::get<TransferItem>(std::move(item)));
-            else if (std::holds_alternative<DelayItem>(item))
-                delays.push_back(std::get<DelayItem>(std::move(item)));
-            else
-                poles.push_back(std::get<PoleItem>(std::move(item)));
-            return false;
         };
 
-        bool stop = take(std::move(*first));
+        bool stop = std::visit(take, *first);
         if (!stop && nqueries > 0) {
             // The deadline half of the policy: collect until max_wait_ms
             // after the batch's FIRST query, or until the size trigger / a
@@ -295,70 +260,52 @@ void QueryBatcher::flusher_loop() {
             while (nqueries < opts_.max_batch) {
                 std::optional<Item> item = queue_.pop_until(deadline);
                 if (!item) break;  // deadline passed, or closed and drained
-                if (take(std::move(*item))) break;
+                if (std::visit(take, *item)) break;
             }
         }
 
-        // Publish the batch's stats BEFORE execution: the first set_value
+        // The batch is sealed: every collected query's queue wait — the
+        // ingress queue AND the collect window above — ends here, with one
+        // clock read for the whole batch.
+        if (obs::enabled()) {
+            const std::int64_t sealed = util::Timer::now_ns();
+            for_each_lane([&](auto& lane) {
+                for (auto& query : lane.pending)
+                    query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns,
+                                    sealed);
+            });
+        }
+
+        // Publish the batch's stats BEFORE execution: the first fulfilment
         // below releases a waiting client, and a stats() read right after a
         // ticket resolves (or after flush() returns) must already see the
         // batch that produced it.
-        {
-            util::MutexLock lock(stats_mutex_);
-            stats_.queries += nqueries;
-            ++stats_.batches;
-            stats_.largest_batch = std::max(stats_.largest_batch, nqueries);
-        }
+        bump(stats_.queries, nqueries);
+        bump(stats_.batches);
+        if (nqueries > stats_.largest_batch.load(std::memory_order_relaxed))
+            stats_.largest_batch.store(nqueries, std::memory_order_relaxed);
 
         // The flusher survives ANYTHING a batch throws — injected faults
         // included: the failure goes into the affected queries' channels
-        // (set_error is a no-op on the already-answered, which keep their
-        // values) and the loop serves the next batch. A wedged flusher would
-        // wedge every future client; a failed batch only fails its own
-        // members.
+        // and the loop serves the next batch. A wedged flusher would wedge
+        // every future client; a failed batch only fails its own members.
         try {
             VARMOR_FAULT_POINT("query_batcher.flush");
-            execute(transfers, delays, poles);
+            execute();
         } catch (...) {
-            const std::exception_ptr error = std::current_exception();
-            {
-                // Batch sweep: tolerant per entry, so members that already
-                // answered keep their values; one wake-up per lane.
-                util::ResultSlab<la::ZMatrix>::Batch tb(transfer_slab_);
-                util::ResultSlab<DelayResult>::Batch db(delay_slab_);
-                util::ResultSlab<std::vector<la::cplx>>::Batch pb(pole_slab_);
-                for (TransferItem& item : transfers) tb.set_error(item.result, error);
-                for (DelayItem& item : delays) db.set_error(item.result, error);
-                for (PoleItem& item : poles) pb.set_error(item.result, error);
-            }
             // A whole-batch failure can only be thrown BEFORE the lane tasks
             // run (their bodies catch internally), so no trace here was
             // finished yet — close them all out as failures.
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (TransferItem& item : transfers) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "transfer", obs_transfer_latency_, tf);
-                }
-                for (DelayItem& item : delays) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "delay", obs_delay_latency_, tf);
-                }
-                for (PoleItem& item : poles) {
-                    item.trace.ok = false;
-                    finish_trace(item.trace, "pole", obs_pole_latency_, tf);
-                }
-            }
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.flush_failures;
+            bump(stats_.flush_failures);
+            const std::exception_ptr error = std::current_exception();
+            for_each_lane([&](auto& lane) { fail_pending(lane, error); });
         }
+        for_each_lane([](auto& lane) { lane.pending.clear(); });
         for (FlushItem& ack : acks) flush_slab_.set_value(ack.done, {});
     }
 }
 
-void QueryBatcher::execute(std::vector<TransferItem>& transfers,
-                           std::vector<DelayItem>& delays,
-                           std::vector<PoleItem>& poles) {
+void QueryBatcher::execute() {
     // Failure isolation contract across all three lanes: a query's outcome —
     // value or exception — must depend on ITS OWN arguments only, never on
     // what else happened to be coalesced with it (the serve-alone purity the
@@ -372,264 +319,180 @@ void QueryBatcher::execute(std::vector<TransferItem>& transfers,
     // on the same workers instead of running lane-after-lane. Task
     // composition affects scheduling only — each item's result is computed
     // independently, so the overlap is invisible in the bits.
-    std::vector<std::function<void()>> tasks;
+    Tasks tasks;
 
-    // --- transfer lane: group by parameter point, chunk groups into tasks.
-    // Each task stamps (and the engine Hessenberg-prepares) each of its
-    // points once, then answers every coalesced frequency with one O(q^2)
-    // solve. In degraded mode the fallback solves the FULL pencil per query
-    // — slower, same grouping stats, same isolation.
-    auto transfer_groups = group_by_point(transfers);
-    if (!transfer_groups.empty()) {
-        {
-            util::MutexLock lock(stats_mutex_);
-            stats_.transfer_queries += static_cast<long>(transfers.size());
-            stats_.transfer_groups += static_cast<long>(transfer_groups.size());
-        }
-        const int n = static_cast<int>(transfer_groups.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &transfer_groups, b, e] {
-                mor::RomEvalWorkspace ws;
-                {
-                    // Batch fulfilment: the chunk's answers land under ONE
-                    // slab lock with ONE wake-up when the task ends (the
-                    // destructor commits), instead of a per-query notify
-                    // storm across every blocked client.
-                    util::ResultSlab<la::ZMatrix>::Batch done(transfer_slab_);
-                    for (int g = b; g < e; ++g) {
-                        auto& group = transfer_groups[static_cast<std::size_t>(g)];
-                        if (engine_) {
-                            // The stamp is shared by the whole group: ONE
-                            // timed span, copied into every member's trace.
-                            const std::int64_t t0 =
-                                obs::enabled() ? util::Timer::now_ns() : 0;
-                            try {
-                                VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
-                                                          point_detail(*group.p));
-                                engine_->stamp_parameters(*group.p, ws);
-                            } catch (...) {
-                                for (TransferItem* item : group.items) {
-                                    item->trace.ok = false;
-                                    done.set_error(item->result,
-                                                   std::current_exception());
-                                }
-                                continue;
-                            }
-                            if (t0 != 0) {
-                                const std::int64_t t1 = util::Timer::now_ns();
-                                for (TransferItem* item : group.items)
-                                    item->trace.add(obs::Stage::kStamp, t0, t1);
-                            }
-                        }
-                        for (TransferItem* item : group.items) {
-                            const std::int64_t s0 =
-                                obs::enabled() && item->trace.active()
-                                    ? util::Timer::now_ns()
-                                    : 0;
-                            try {
-                                if (engine_) {
-                                    done.set_value(item->result,
-                                                   engine_->transfer(item->s, ws));
-                                } else if (fallbacks_.transfer) {
-                                    done.set_value(item->result,
-                                                   fallbacks_.transfer(*group.p,
-                                                                       item->s));
-                                } else {
-                                    throw Error("QueryBatcher: no transfer path");
-                                }
-                            } catch (...) {
-                                // e.g. the pencil singular at exactly this s:
-                                // fails THIS query only, like serve-alone
-                                // would.
-                                item->trace.ok = false;
-                                done.set_error(item->result,
-                                               std::current_exception());
-                            }
-                            if (s0 != 0)
-                                item->trace.add(obs::Stage::kSolve, s0,
-                                                util::Timer::now_ns());
-                        }
-                    }
-                }  // batch committed: the chunk's results are visible now
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int g = b; g < e; ++g)
-                        for (TransferItem* item :
-                             transfer_groups[static_cast<std::size_t>(g)].items)
-                            finish_trace(item->trace, "transfer",
-                                         obs_transfer_latency_, tf);
-                }
-            });
-        }
-    }
+    // --- transfer lane: each task stamps (and the engine Hessenberg-
+    // prepares) each of its points once, then answers every coalesced
+    // frequency with one O(q^2) solve. In degraded mode the fallback solves
+    // the FULL pencil per query — slower, same grouping, same isolation.
+    TransferLane& transfers = std::get<TransferLane>(lanes_);
+    const auto transfer_groups = group_by_point(transfers.pending);
+    bump(stats_.transfer_queries, static_cast<long>(transfers.pending.size()));
+    bump(stats_.transfer_groups, static_cast<long>(transfer_groups.size()));
+    add_grouped_tasks(
+        transfers, transfer_groups,
+        [this](const Query<la::cplx, la::ZMatrix>& query, mor::RomEvalWorkspace& ws) {
+            if (engine_) return engine_->transfer(query.arg, ws);
+            if (!fallbacks_.transfer) throw Error("QueryBatcher: no transfer path");
+            return fallbacks_.transfer(query.p, query.arg);
+        },
+        tasks);
 
     // --- pole lane: same grouping; the pole kernel is per-sample only.
-    auto pole_groups = group_by_point(poles);
-    if (!pole_groups.empty()) {
-        const int n = static_cast<int>(pole_groups.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &pole_groups, b, e] {
-                mor::RomEvalWorkspace ws;
-                {
-                    util::ResultSlab<std::vector<la::cplx>>::Batch done(pole_slab_);
-                    for (int g = b; g < e; ++g) {
-                        auto& group = pole_groups[static_cast<std::size_t>(g)];
-                        if (engine_) {
-                            const std::int64_t t0 =
-                                obs::enabled() ? util::Timer::now_ns() : 0;
-                            try {
-                                VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
-                                                          point_detail(*group.p));
-                                engine_->stamp_parameters(*group.p, ws);
-                            } catch (...) {
-                                for (PoleItem* item : group.items) {
-                                    item->trace.ok = false;
-                                    done.set_error(item->result,
-                                                   std::current_exception());
-                                }
-                                continue;
-                            }
-                            if (t0 != 0) {
-                                const std::int64_t t1 = util::Timer::now_ns();
-                                for (PoleItem* item : group.items)
-                                    item->trace.add(obs::Stage::kStamp, t0, t1);
-                            }
-                        }
-                        for (PoleItem* item : group.items) {
-                            const std::int64_t s0 =
-                                obs::enabled() && item->trace.active()
-                                    ? util::Timer::now_ns()
-                                    : 0;
-                            try {
-                                if (engine_) {
-                                    done.set_value(item->result, engine_->poles(ws));
-                                } else if (fallbacks_.poles) {
-                                    done.set_value(item->result,
-                                                   fallbacks_.poles(*group.p));
-                                } else {
-                                    throw Error("QueryBatcher: no poles path");
-                                }
-                            } catch (...) {
-                                item->trace.ok = false;
-                                done.set_error(item->result,
-                                               std::current_exception());
-                            }
-                            if (s0 != 0)
-                                item->trace.add(obs::Stage::kSolve, s0,
-                                                util::Timer::now_ns());
-                        }
-                    }
-                }
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int g = b; g < e; ++g)
-                        for (PoleItem* item :
-                             pole_groups[static_cast<std::size_t>(g)].items)
-                            finish_trace(item->trace, "pole", obs_pole_latency_,
-                                         tf);
-                }
-            });
-        }
-    }
+    PoleLane& poles = std::get<PoleLane>(lanes_);
+    const auto pole_groups = group_by_point(poles.pending);
+    add_grouped_tasks(
+        poles, pole_groups,
+        [this](const Query<std::monostate, std::vector<la::cplx>>& query,
+               mor::RomEvalWorkspace& ws) {
+            if (engine_) return engine_->poles(ws);
+            if (!fallbacks_.poles) throw Error("QueryBatcher: no poles path");
+            return fallbacks_.poles(query.p);
+        },
+        tasks);
 
-    // --- delay lane: the pending corners ARE a TransientBatchRunner corner
-    // batch (one refactorization per corner). The forcing series is corner-
-    // independent, evaluated ONCE here on the flusher thread; a failure in
-    // it would hit every corner served alone too, so it fails every delay
-    // channel (the shared-preamble contract). Per-corner execution keeps the
-    // captured-batch isolation: a failing corner fails ITS ticket only, and
-    // every other corner's answer comes from this same batch — never from a
-    // re-run, so no extra work and bit-identical results whether or not a
-    // batchmate failed.
+    // --- delay lane: the forcing series is corner-independent, evaluated
+    // ONCE here on the flusher thread; a failure in it would hit every
+    // corner served alone too, so it fails every delay channel (the
+    // shared-preamble contract).
+    DelayLane& delays = std::get<DelayLane>(lanes_);
     std::vector<la::Vector> forcing;
-    bool delay_ready = false;
-    if (!delays.empty()) {
+    if (!delays.pending.empty()) {
         try {
             forcing = transient_->make_forcing(input_);
-            delay_ready = true;
         } catch (...) {
-            const std::exception_ptr error = std::current_exception();
-            {
-                util::ResultSlab<DelayResult>::Batch done(delay_slab_);
-                for (DelayItem& item : delays) {
-                    item.trace.ok = false;
-                    done.set_error(item.result, error);
-                }
-            }
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (DelayItem& item : delays)
-                    finish_trace(item.trace, "delay", obs_delay_latency_, tf);
-            }
+            fail_pending(delays, std::current_exception());
+            delays.pending.clear();
         }
     }
-    if (delay_ready) {
-        const int n = static_cast<int>(delays.size());
-        const int chunks = lane_chunks(n, opts_.threads);
-        for (int c = 0; c < chunks; ++c) {
-            const int b = static_cast<int>(static_cast<long long>(n) * c / chunks);
-            const int e = static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks);
-            tasks.push_back([this, &delays, &forcing, b, e] {
-                analysis::TransientBatchRunner::Scratch scratch =
-                    transient_->make_scratch();
-                {
-                    util::ResultSlab<DelayResult>::Batch done(delay_slab_);
-                    for (int i = b; i < e; ++i) {
-                        DelayItem& item = delays[static_cast<std::size_t>(i)];
-                        const std::int64_t s0 =
-                            obs::enabled() && item.trace.active()
-                                ? util::Timer::now_ns()
-                                : 0;
-                        analysis::TransientBatchRunner::CornerOutcome outcome =
-                            transient_->run_corner_captured(item.p, forcing,
-                                                            scratch);
-                        if (outcome.error) {
-                            item.trace.ok = false;
-                            done.set_error(item.result, outcome.error);
-                        } else {
-                            try {
-                                done.set_value(
-                                    item.result,
-                                    DelayResult{
-                                        analysis::crossing_time(*outcome.result,
-                                                                observe_, level_),
-                                        level_});
-                            } catch (...) {
-                                item.trace.ok = false;
-                                done.set_error(item.result,
-                                               std::current_exception());
-                            }
-                        }
-                        if (s0 != 0)
-                            item.trace.add(obs::Stage::kSolve, s0,
-                                           util::Timer::now_ns());
-                    }
-                }
-                if (obs::enabled()) {
-                    const std::int64_t tf = util::Timer::now_ns();
-                    for (int i = b; i < e; ++i)
-                        finish_trace(delays[static_cast<std::size_t>(i)].trace,
-                                     "delay", obs_delay_latency_, tf);
-                }
-            });
-        }
-    }
+    add_delay_tasks(forcing, tasks);
 
     util::ThreadPool::run_tasks(opts_.threads, tasks);
 }
 
-void QueryBatcher::finish_trace(obs::QueryTrace& trace, const char* lane,
-                                obs::Histogram& lane_latency,
+template <class LaneT, class Groups, class Solve>
+void QueryBatcher::add_grouped_tasks(LaneT& lane, const Groups& groups, Solve solve,
+                                     Tasks& tasks) {
+    for_each_chunk(static_cast<int>(groups.size()), opts_.threads, [&](int b, int e) {
+        tasks.push_back([this, &lane, &groups, solve, b, e] {
+            mor::RomEvalWorkspace ws;
+            {
+                // Batch fulfilment: the chunk's answers land under ONE slab
+                // lock with ONE wake-up when the task ends (the destructor
+                // commits), instead of a per-query notify storm across every
+                // blocked client.
+                typename decltype(lane.slab)::Batch done(lane.slab);
+                for (int g = b; g < e; ++g) {
+                    const auto& group = groups[static_cast<std::size_t>(g)];
+                    if (engine_) {
+                        // The stamp is shared by the whole group: ONE timed
+                        // span, copied into every member's trace.
+                        const std::int64_t t0 =
+                            obs::enabled() ? util::Timer::now_ns() : 0;
+                        try {
+                            VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
+                                                      point_detail(*group.p));
+                            engine_->stamp_parameters(*group.p, ws);
+                        } catch (...) {
+                            for (auto* query : group.items) {
+                                query->trace.ok = false;
+                                done.set_error(query->result, std::current_exception());
+                            }
+                            continue;
+                        }
+                        if (t0 != 0) {
+                            const std::int64_t t1 = util::Timer::now_ns();
+                            for (auto* query : group.items)
+                                query->trace.add(obs::Stage::kStamp, t0, t1);
+                        }
+                    }
+                    for (auto* query : group.items) {
+                        obs::ScopedSpan span(obs::enabled() ? &query->trace : nullptr,
+                                             obs::Stage::kSolve);
+                        try {
+                            done.set_value(query->result, solve(*query, ws));
+                        } catch (...) {
+                            // e.g. the pencil singular at exactly this s:
+                            // fails THIS query only, like serve-alone would.
+                            query->trace.ok = false;
+                            done.set_error(query->result, std::current_exception());
+                        }
+                    }
+                }
+            }  // batch committed: the chunk's results are visible now
+            if (obs::enabled()) {
+                const std::int64_t tf = util::Timer::now_ns();
+                for (int g = b; g < e; ++g)
+                    for (auto* query : groups[static_cast<std::size_t>(g)].items)
+                        finish_trace(lane, query->trace, tf);
+            }
+        });
+    });
+}
+
+void QueryBatcher::add_delay_tasks(const std::vector<la::Vector>& forcing, Tasks& tasks) {
+    // The pending corners ARE a TransientBatchRunner corner batch (one
+    // refactorization per corner). Per-corner execution keeps the captured-
+    // batch isolation: a failing corner fails ITS ticket only, and every
+    // other corner's answer comes from this same batch — never from a
+    // re-run, so no extra work and bit-identical results whether or not a
+    // batchmate failed.
+    DelayLane& lane = std::get<DelayLane>(lanes_);
+    const int n = static_cast<int>(lane.pending.size());
+    for_each_chunk(n, opts_.threads, [&](int b, int e) {
+        tasks.push_back([this, &lane, &forcing, b, e] {
+            analysis::TransientBatchRunner::Scratch scratch = transient_->make_scratch();
+            {
+                util::ResultSlab<DelayResult>::Batch done(lane.slab);
+                for (int i = b; i < e; ++i) {
+                    auto& query = lane.pending[static_cast<std::size_t>(i)];
+                    obs::ScopedSpan span(obs::enabled() ? &query.trace : nullptr,
+                                         obs::Stage::kSolve);
+                    analysis::TransientBatchRunner::CornerOutcome outcome =
+                        transient_->run_corner_captured(query.p, forcing, scratch);
+                    try {
+                        if (outcome.error) std::rethrow_exception(outcome.error);
+                        done.set_value(query.result,
+                                       DelayResult{analysis::crossing_time(
+                                                       *outcome.result, observe_, level_),
+                                                   level_});
+                    } catch (...) {
+                        query.trace.ok = false;
+                        done.set_error(query.result, std::current_exception());
+                    }
+                }
+            }
+            if (obs::enabled()) {
+                const std::int64_t tf = util::Timer::now_ns();
+                for (int i = b; i < e; ++i)
+                    finish_trace(lane, lane.pending[static_cast<std::size_t>(i)].trace,
+                                 tf);
+            }
+        });
+    });
+}
+
+template <class LaneT>
+void QueryBatcher::fail_pending(LaneT& lane, const std::exception_ptr& error) {
+    {
+        typename decltype(lane.slab)::Batch done(lane.slab);
+        for (auto& query : lane.pending) {
+            query.trace.ok = false;
+            done.set_error(query.result, error);
+        }
+    }
+    if (obs::enabled()) {
+        const std::int64_t tf = util::Timer::now_ns();
+        for (auto& query : lane.pending) finish_trace(lane, query.trace, tf);
+    }
+}
+
+template <class LaneT>
+void QueryBatcher::finish_trace(LaneT& lane, obs::QueryTrace& trace,
                                 std::int64_t now_ns) {
     if (!trace.active()) return;
     trace.add(obs::Stage::kFulfil, trace.last_end_ns(), now_ns);
-    lane_latency.record(now_ns - trace.submit_ns);
+    lane.latency.record(now_ns - trace.submit_ns);
     for (int i = 0; i < trace.num_spans; ++i) {
         const obs::Span& span = trace.spans[i];
         switch (span.stage) {
@@ -647,7 +510,7 @@ void QueryBatcher::finish_trace(obs::QueryTrace& trace, const char* lane,
                 break;
         }
     }
-    obs::TraceStore::global().record(trace, lane);
+    obs::TraceStore::global().record(trace, lane.name);
 }
 
 }  // namespace varmor::service

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -103,6 +106,10 @@ struct QueryFallbacks {
 /// whichever comes first. flush() forces a drain of everything already
 /// submitted.
 ///
+/// Each query class is one Lane (result slab, latency histogram, trace
+/// name, pending batch) of a single template; transfer and poles share one
+/// grouped-point executor and differ only in the solve they pass it.
+///
 /// Within one flush the three lanes are OVERLAPPED, not sequential: the
 /// transfer lane's dense Hessenberg chunks, the pole lane's sample chunks
 /// and the delay lane's sparse transient corners are submitted as ONE task
@@ -177,61 +184,124 @@ public:
     bool degraded() const { return engine_ == nullptr; }
 
     const QueryBatcherOptions& options() const { return opts_; }
-    QueryBatcherStats stats() const EXCLUDES(stats_mutex_);
+    QueryBatcherStats stats() const;
 
     /// Occupancy of the per-lane result slabs (bench/ops visibility): after
     /// warm-up, `capacity` plateaus at the concurrency high-water mark and
     /// every further query reuses a recycled slot.
-    util::ResultSlabStats transfer_slab_stats() const { return transfer_slab_.stats(); }
-    util::ResultSlabStats delay_slab_stats() const { return delay_slab_.stats(); }
-    util::ResultSlabStats pole_slab_stats() const { return pole_slab_.stats(); }
+    util::ResultSlabStats transfer_slab_stats() const {
+        return std::get<TransferLane>(lanes_).slab.stats();
+    }
+    util::ResultSlabStats delay_slab_stats() const {
+        return std::get<DelayLane>(lanes_).slab.stats();
+    }
+    util::ResultSlabStats pole_slab_stats() const {
+        return std::get<PoleLane>(lanes_).slab.stats();
+    }
 
 private:
-    // Each point-query item carries its obs::QueryTrace — minted at submit
-    // (admit), queue-wait span stamped at triage, stamp/solve/fulfil spans
-    // in the flush lanes, recorded to the TraceStore at fulfilment. An
-    // inactive trace (telemetry off) makes every one of those a no-op.
-    struct TransferItem {
+    // One point query: its parameter point, its kind's argument (the
+    // frequency for transfer, std::monostate otherwise) and its result
+    // channel. It carries its obs::QueryTrace — minted at submit (admit),
+    // queue-wait span ended when its batch is sealed, stamp/solve/fulfil
+    // spans in the flush lanes, recorded to the TraceStore at fulfilment.
+    // An inactive trace (telemetry off) makes every one of those a no-op.
+    template <class Arg, class Result>
+    struct Query {
         std::vector<double> p;
-        la::cplx s;
+        Arg arg;
         util::Deadline deadline;
         obs::QueryTrace trace;
-        util::ResultSlab<la::ZMatrix>::Channel result;
+        typename util::ResultSlab<Result>::Channel result;
     };
-    struct DelayItem {
-        std::vector<double> p;
-        util::Deadline deadline;
-        obs::QueryTrace trace;
-        util::ResultSlab<DelayResult>::Channel result;
+
+    /// Everything one query kind owns: its result-channel arena (recycled
+    /// per flush epoch: a slot returns to its slab the moment its batch
+    /// fulfils it and its client collects), its latency histogram and trace
+    /// lane name, and the queries collected into the current batch (touched
+    /// by the flusher and its batch tasks only).
+    template <class Arg, class Result>
+    struct Lane {
+        Lane(const char* lane_name, obs::Histogram& lane_latency)
+            : name(lane_name), latency(lane_latency) {}
+
+        const char* name;
+        obs::Histogram& latency;
+        util::ResultSlab<Result> slab;
+        std::vector<Query<Arg, Result>> pending;
     };
-    struct PoleItem {
-        std::vector<double> p;
-        util::Deadline deadline;
-        obs::QueryTrace trace;
-        util::ResultSlab<std::vector<la::cplx>>::Channel result;
-    };
+    using TransferLane = Lane<la::cplx, la::ZMatrix>;
+    using DelayLane = Lane<std::monostate, DelayResult>;
+    using PoleLane = Lane<std::monostate, std::vector<la::cplx>>;
+
     struct FlushItem {
         util::ResultSlab<std::monostate>::Channel done;
     };
-    using Item = std::variant<TransferItem, DelayItem, PoleItem, FlushItem>;
+    using Item =
+        std::variant<Query<la::cplx, la::ZMatrix>, Query<std::monostate, DelayResult>,
+                     Query<std::monostate, std::vector<la::cplx>>, FlushItem>;
+
+    /// QueryBatcherStats storage: relaxed atomics, bumped without a lock.
+    /// Every bump is sequenced before the slab fulfilment (a mutex release)
+    /// of the tickets it describes, so a stats() read right after a ticket
+    /// resolves already sees it. largest_batch has one writer, the flusher.
+    struct Counters {
+        std::atomic<long> queries{0};
+        std::atomic<long> batches{0};
+        std::atomic<int> largest_batch{0};
+        std::atomic<long> transfer_queries{0};
+        std::atomic<long> transfer_groups{0};
+        std::atomic<long> shed{0};
+        std::atomic<long> expired{0};
+        std::atomic<long> rejected_closed{0};
+        std::atomic<long> flush_failures{0};
+    };
+
+    template <class Arg, class Result>
+    Lane<Arg, Result>& lane_of(const Query<Arg, Result>&) {
+        return std::get<Lane<Arg, Result>>(lanes_);
+    }
+
+    template <class F>
+    void for_each_lane(F&& f) {
+        std::apply([&](auto&... lane) { (f(lane), ...); }, lanes_);
+    }
 
     /// Deadline triage + admission control shared by the three submits:
-    /// opens a slab channel and returns its ticket, which is fulfilled
-    /// normally, or failed right here when the query is expired / shed /
-    /// racing close().
-    template <class ItemT, class ResultT>
-    Future<ResultT> admit(util::ResultSlab<ResultT>& slab, ItemT item);
+    /// opens a channel on the query's lane and returns its ticket, which is
+    /// fulfilled normally, or failed right here when the query is expired /
+    /// shed / racing close().
+    template <class Arg, class Result>
+    Future<Result> admit(Query<Arg, Result> query);
+
+    using Tasks = std::vector<std::function<void()>>;
 
     void flusher_loop();
-    void execute(std::vector<TransferItem>& transfers, std::vector<DelayItem>& delays,
-                 std::vector<PoleItem>& poles);
+    void execute();
+
+    /// The grouped-point executor shared by the transfer and pole lanes:
+    /// fans `groups` (the lane's pending queries by parameter point) into
+    /// chunk tasks that stamp each point once (engine mode), answer every
+    /// member with `solve(query, ws)` and commit one slab batch per chunk.
+    template <class LaneT, class Groups, class Solve>
+    void add_grouped_tasks(LaneT& lane, const Groups& groups, Solve solve, Tasks& tasks);
+
+    /// The delay lane's chunk tasks: one TransientBatchRunner corner per
+    /// query, all sharing the batch's forcing series.
+    void add_delay_tasks(const std::vector<la::Vector>& forcing, Tasks& tasks);
+
+    /// Fails every pending query of `lane` with `error` (tolerant: members
+    /// that already answered keep their values) and finishes their traces
+    /// as failures.
+    template <class LaneT>
+    void fail_pending(LaneT& lane, const std::exception_ptr& error);
 
     /// Closes out a query's trace at fulfilment time: fulfil span (last
     /// span end → `now_ns`, i.e. until its chunk's slab batch committed),
     /// per-stage + per-lane latency histograms, TraceStore record. No-op
     /// for inactive traces.
-    void finish_trace(obs::QueryTrace& trace, const char* lane,
-                      obs::Histogram& lane_latency, std::int64_t now_ns);
+    template <class LaneT>
+    void finish_trace(LaneT& lane, obs::QueryTrace& trace, std::int64_t now_ns);
 
     const mor::RomEvalEngine* engine_;  ///< null = degraded (fallbacks serve)
     QueryFallbacks fallbacks_;
@@ -242,25 +312,17 @@ private:
     QueryBatcherOptions opts_;
 
     util::MpmcQueue<Item> queue_;
-    /// Per-lane result-channel arenas. Recycled per flush epoch: a slot
-    /// returns to its slab the moment its batch fulfils it and its client
-    /// collects, so steady-state traffic reuses a small fixed pool.
-    util::ResultSlab<la::ZMatrix> transfer_slab_;
-    util::ResultSlab<DelayResult> delay_slab_;
-    util::ResultSlab<std::vector<la::cplx>> pole_slab_;
+    std::tuple<TransferLane, DelayLane, PoleLane> lanes_;
     util::ResultSlab<std::monostate> flush_slab_;
-    mutable util::Mutex stats_mutex_;
-    QueryBatcherStats stats_ GUARDED_BY(stats_mutex_);
-    /// Registry-owned latency instruments, resolved once at construction
-    /// (instruments are process-global and never move, so the references
-    /// stay valid and the hot path never touches the registry lock).
+    Counters stats_;
+    /// Registry-owned stage latency instruments, resolved once at
+    /// construction (instruments are process-global and never move, so the
+    /// references stay valid and the hot path never touches the registry
+    /// lock).
     obs::Histogram& obs_queue_wait_;
     obs::Histogram& obs_stamp_;
     obs::Histogram& obs_solve_;
     obs::Histogram& obs_fulfil_;
-    obs::Histogram& obs_transfer_latency_;
-    obs::Histogram& obs_delay_latency_;
-    obs::Histogram& obs_pole_latency_;
     util::Mutex close_mutex_;  ///< serializes close() callers around the join
     /// Written once in the constructor; joined under close_mutex_ — never
     /// touched concurrently outside that, so deliberately unguarded.

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "mor/lowrank_pmor.h"
 #include "mor_test_utils.h"
 #include "obs/export.h"
+#include "obs/trace.h"
 #include "service/study_service.h"
 #include "util/constants.h"
 #include "util/fault_injection.h"
@@ -325,6 +327,59 @@ TEST(FaultInjection, StampFaultFailsOnePointGroupOnly) {
         EXPECT_THROW(fb.get(), FaultInjected);
     }
     FaultInjector::instance().clear();
+}
+
+TEST(FaultInjection, WholeBatchFailureFailsEveryLane) {
+    const circuit::ParametricSystem sys = test_system();
+    FaultInjector::instance().clear();
+    ModelCache cache;
+    StudyServiceOptions opts = service_options();
+    opts.batcher.max_batch = 1000;       // neither policy trigger can fire:
+    opts.batcher.max_wait_ms = 60000.0;  // the flush marker seals ONE batch
+    StudyService service(cache, opts);
+    StudySession& session = service.open(sys);
+    const QueryBatcher& batcher = session.batcher();
+    const cplx s(0.0, util::two_pi_f(0.05));
+    const std::vector<std::vector<double>> corners{{0.03, 0.01}, {-0.06, 0.09}};
+
+    obs::TraceStore::global().clear();
+    {
+        ScopedFault fault("query_batcher.flush",
+                          FaultInjector::fail("injected: whole batch"));
+        std::vector<Future<ZMatrix>> tf;
+        std::vector<Future<DelayResult>> df;
+        std::vector<Future<std::vector<cplx>>> pf;
+        for (const auto& p : corners) {
+            tf.push_back(session.transfer(p, s));
+            df.push_back(session.delay(p));
+            pf.push_back(session.poles(p));
+        }
+        session.flush();
+        for (auto& f : tf) ASSERT_TRUE(resolves(f));
+        for (auto& f : df) ASSERT_TRUE(resolves(f));
+        for (auto& f : pf) ASSERT_TRUE(resolves(f));
+        for (auto& f : tf) EXPECT_THROW(f.get(), FaultInjected);
+        for (auto& f : df) EXPECT_THROW(f.get(), FaultInjected);
+        for (auto& f : pf) EXPECT_THROW(f.get(), FaultInjected);
+    }
+    FaultInjector::instance().clear();
+
+    EXPECT_EQ(batcher.stats().flush_failures, 1);
+    EXPECT_EQ(batcher.transfer_slab_stats().in_use, 0u);
+    EXPECT_EQ(batcher.delay_slab_stats().in_use, 0u);
+    EXPECT_EQ(batcher.pole_slab_stats().in_use, 0u);
+    // Every member's trace was closed out as a failure, in its own lane.
+    if (obs::kCompiledIn) {
+        const std::vector<obs::TraceRecord> traces = obs::TraceStore::global().dump();
+        ASSERT_EQ(traces.size(), 3 * corners.size());
+        std::map<std::string, int> per_lane;
+        for (const obs::TraceRecord& r : traces) {
+            EXPECT_FALSE(r.trace.ok) << r.lane;
+            ++per_lane[r.lane];
+        }
+        EXPECT_EQ(per_lane, (std::map<std::string, int>{
+                                {"delay", 2}, {"pole", 2}, {"transfer", 2}}));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@
 #include "mor/lowrank_pmor.h"
 #include "mor/rom_eval.h"
 #include "mor_test_utils.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/query_batcher.h"
 #include "util/constants.h"
 
@@ -174,6 +176,36 @@ TEST(QueryBatcher, DeadlineFlushesAnUndersizedBatch) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
     expect_bit_identical(f.get(), fx.transfer_alone({0.1, -0.1}, cplx(0.0, 1.0)));
     EXPECT_GE(batcher.stats().batches, 1);
+}
+
+TEST(QueryBatcher, QueueWaitSpanCoversTheFlushTimer) {
+    // A lone query sits out the whole collect window before the flush timer
+    // seals its batch. That wait is queue time: the span must end at the
+    // seal, not when the flusher popped the query.
+    Fixture fx;
+    QueryBatcherOptions opts;
+    opts.max_batch = 1000;  // size trigger unreachable
+    opts.max_wait_ms = 20.0;
+    opts.threads = 1;
+    QueryBatcher batcher(fx.engine, nullptr, {}, 0.0, 0, opts);
+
+    obs::Histogram& queue_wait = obs::Registry::global().histogram("query.queue_wait_ns");
+    const obs::HistogramSnapshot before = queue_wait.snapshot();
+    obs::TraceStore::global().clear();
+    batcher.submit_transfer({0.1, -0.1}, cplx(0.0, 1.0)).get();
+    batcher.flush();  // the trace is finished once its batch is done
+    const obs::HistogramSnapshot after = queue_wait.snapshot();
+
+    if (!obs::kCompiledIn) {
+        EXPECT_EQ(after.count(), before.count());
+        return;
+    }
+    const long long kWindowNs = 20'000'000;
+    ASSERT_EQ(after.count() - before.count(), 1);
+    EXPECT_GE(after.sum - before.sum, kWindowNs);
+    const std::vector<obs::TraceRecord> traces = obs::TraceStore::global().dump();
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_GE(traces[0].trace.stage_ns(obs::Stage::kQueueWait), kWindowNs);
 }
 
 TEST(QueryBatcher, SizeTriggerFlushesWithoutWaitingForDeadline) {
