@@ -16,6 +16,7 @@
 #include "la/lu_dense.h"
 #include "la/ops.h"
 #include "la/simd.h"
+#include "la/small_dense.h"
 #include "circuit/generators.h"
 #include "circuit/mna.h"
 #include "mor/lowrank_pmor.h"
@@ -278,6 +279,70 @@ void BM_HessenbergSolveNaive(benchmark::State& state) {
     state.SetComplexityN(q);
 }
 BENCHMARK(BM_HessenbergSolveNaive)->Arg(20)->Arg(40)->Arg(60)->Arg(80)->Complexity();
+
+// Fixed-size small-matrix LU (la/small_dense.h) against the generic dense
+// kernel on the same identity-padded N x N pencil: q = N - 2 live rows
+// (diagonally dominant), the identity block the direct lane pads with, and
+// 2 right-hand sides. The ratio BM_GenericLu/N over BM_SmallLu/N is what
+// each of the five fixed-size instantiations buys.
+struct PaddedPencil {
+    std::vector<la::cplx> a;  ///< N x N, column-major
+    std::vector<la::cplx> b;  ///< N x 2, zero padding rows
+};
+
+PaddedPencil padded_pencil(int n) {
+    const int q = n - 2;
+    const la::ZMatrix k = random_zmatrix(q, q, 47);
+    const la::ZMatrix b = random_zmatrix(q, 2, 53);
+    const std::size_t un = static_cast<std::size_t>(n);
+    PaddedPencil p{std::vector<la::cplx>(un * un), std::vector<la::cplx>(un * 2)};
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            p.a[static_cast<std::size_t>(j) * un + static_cast<std::size_t>(i)] =
+                (i < q && j < q) ? k(i, j) + (i == j ? static_cast<double>(q) : 0.0)
+                                 : (i == j ? la::cplx(1.0) : la::cplx{});
+    for (int r = 0; r < 2; ++r)
+        for (int i = 0; i < q; ++i)
+            p.b[static_cast<std::size_t>(r) * un + static_cast<std::size_t>(i)] = b(i, r);
+    return p;
+}
+
+void BM_SmallLu(benchmark::State& state) {
+    const PaddedPencil p = padded_pencil(static_cast<int>(state.range(0)));
+    la::small_lu_dispatch(static_cast<int>(state.range(0)), [&](auto size) {
+        constexpr int N = decltype(size)::value;
+        std::vector<la::cplx> a, x(p.b.size());
+        int perm[N];
+        for (auto _ : state) {
+            a = p.a;
+            la::small_lu_factor<N>(a.data(), perm);
+            for (int r = 0; r < 2; ++r)
+                for (int i = 0; i < N; ++i)
+                    x[static_cast<std::size_t>(r * N + i)] =
+                        p.b[static_cast<std::size_t>(r * N + perm[i])];
+            la::small_lu_substitute<N>(a.data(), x.data(), 2);
+            benchmark::DoNotOptimize(x.data());
+        }
+    });
+}
+BENCHMARK(BM_SmallLu)->DenseRange(4, la::kSmallLuMaxSize, 4);
+
+void BM_GenericLu(benchmark::State& state) {
+    const int n = static_cast<int>(state.range(0));
+    const PaddedPencil p = padded_pencil(n);
+    la::ZMatrix a(n, n), x(n, 2);
+    std::vector<int> perm;
+    for (auto _ : state) {
+        std::copy(p.a.begin(), p.a.end(), a.raw().begin());
+        la::detail::lu_factor_inplace(a, perm);
+        for (int r = 0; r < 2; ++r)
+            for (int i = 0; i < n; ++i)
+                x(i, r) = p.b[static_cast<std::size_t>(r * n + perm[static_cast<std::size_t>(i)])];
+        la::detail::lu_substitute_inplace(a, x.raw().data(), 2);
+        benchmark::DoNotOptimize(x.raw().data());
+    }
+}
+BENCHMARK(BM_GenericLu)->DenseRange(4, la::kSmallLuMaxSize, 4);
 
 void BM_DenseSubstituteBlocked(benchmark::State& state) {
     // Multi-RHS substitution through the 8-wide blocked kernel: factor once,

@@ -17,11 +17,11 @@ namespace detail {
 /// it with P*A = L*U; `perm` records the row permutation (row i of the
 /// factored matrix is row perm[i] of A) and the returned value is the
 /// permutation sign. Column-oriented elimination: the multipliers of column
-/// k are formed contiguously, then each trailing column takes one streaming
-/// rank-1 update — four columns per pass so the multiplier column is read
-/// once per four updates. Throws varmor::Error if A is singular to working
-/// precision. Shared by DenseLu and DenseLuWorkspace so the two stay
-/// bit-identical.
+/// k are formed contiguously (Smith division for complex T, simd::div_s),
+/// then each trailing column takes one streaming rank-1 update — four
+/// columns per pass so the multiplier column is read once per four updates.
+/// Throws varmor::Error if A is singular to working precision. Shared by
+/// DenseLu and DenseLuWorkspace so the two stay bit-identical.
 template <class T>
 int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
     check(lu.rows() == lu.cols(), "DenseLu: square matrix required");
@@ -32,11 +32,12 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
 
     for (int k = 0; k < n; ++k) {
         T* ck = lu.col_data(k);
-        // Partial pivoting: largest magnitude in column k at/below row k.
+        // Partial pivoting: largest cabs1 magnitude (|re| + |im|, LAPACK's
+        // izamax) in column k at/below row k; plain |x| for real T.
         int piv = k;
-        double best = std::abs(ck[k]);
+        double best = simd::abs1(ck[k]);
         for (int i = k + 1; i < n; ++i) {
-            const double v = std::abs(ck[i]);
+            const double v = simd::abs1(ck[i]);
             if (v > best) { best = v; piv = i; }
         }
         check(best > 0.0, "DenseLu: matrix is numerically singular");
@@ -46,7 +47,7 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
             sign = -sign;
         }
         const T pivot = ck[k];
-        for (int i = k + 1; i < n; ++i) ck[i] /= pivot;  // multipliers, contiguous
+        for (int i = k + 1; i < n; ++i) ck[i] = simd::div_s(ck[i], pivot);  // multipliers
 
         using P = simd::Pack<T>;
         constexpr int W = P::lanes;
@@ -130,7 +131,7 @@ void lu_substitute_inplace(const MatrixT<T>& lu, T* x, int nrhs) {
             const T* cj = lu.col_data(j);
             for (int r = 0; r < rw; ++r) {
                 T* xr = xs + static_cast<std::size_t>(r) * static_cast<std::size_t>(n);
-                xr[j] /= cj[j];
+                xr[j] = simd::div_s(xr[j], cj[j]);
                 const T xj = xr[j];
                 if (xj == T{}) continue;
                 simd::fnma_n(j, xj, cj, xr);

@@ -34,13 +34,12 @@
 /// expressions if the vector body fuses — and keep any reduction order a
 /// deterministic function of the length alone.
 
+#include <cmath>
 #include <complex>
 
 #if !defined(VARMOR_SIMD_DISABLED) && defined(__AVX2__) && defined(__FMA__)
 #define VARMOR_SIMD_AVX2 1
 #include <immintrin.h>
-
-#include <cmath>
 #endif
 
 namespace varmor::la::simd {
@@ -142,6 +141,12 @@ inline zd div_s(zd a, zd b) {
     const double d = b.real() * t + b.imag();
     return {(a.real() * t + a.imag()) / d, (a.imag() * t - a.real()) / d};
 }
+
+/// Real twins of abs1 and div_s for element-type-generic kernels: exactly
+/// std::abs and the / operator, so a real instantiation of a kernel written
+/// against abs1/div_s is bitwise what it was with abs and /.
+inline double abs1(double a) { return std::abs(a); }
+inline double div_s(double a, double b) { return a / b; }
 
 // ---------------------------------------------------------------------------
 // Pack<T>: the vector register abstraction.

@@ -18,7 +18,11 @@
 /// lu_substitute_inplace on the simd layer (same pivot scan, same division,
 /// same fused update semantics), so within a build arm the fixed-size lane
 /// is bitwise the generic kernel on the embedded q x q block — the
-/// loop-vs-grid and small-vs-generic contracts hold with no tolerance.
+/// loop-vs-grid and small-vs-generic contracts hold with no tolerance. Like
+/// the Hessenberg solve, both twins pick pivots by cabs1 (simd::abs1, the
+/// |re| + |im| of LAPACK's zgetf2/izamax) and divide by Smith's algorithm
+/// (simd::div_s), so no pivot or quotient calls into libm (hypot,
+/// __divdc3).
 
 #include <cmath>
 #include <type_traits>
@@ -50,9 +54,9 @@ void small_lu_factor(cplx* a, int* perm) {
     for (int k = 0; k < N; ++k) {
         cplx* ck = a + static_cast<std::size_t>(k) * N;
         int piv = k;
-        double best = std::abs(ck[k]);
+        double best = simd::abs1(ck[k]);
         for (int i = k + 1; i < N; ++i) {
-            const double v = std::abs(ck[i]);
+            const double v = simd::abs1(ck[i]);
             if (v > best) { best = v; piv = i; }
         }
         check(best > 0.0, "DenseLu: matrix is numerically singular");
@@ -63,7 +67,7 @@ void small_lu_factor(cplx* a, int* perm) {
             std::swap(perm[k], perm[piv]);
         }
         const cplx pivot = ck[k];
-        for (int i = k + 1; i < N; ++i) ck[i] /= pivot;  // multipliers, contiguous
+        for (int i = k + 1; i < N; ++i) ck[i] = simd::div_s(ck[i], pivot);  // multipliers
         for (int j = k + 1; j < N; ++j) {
             cplx* cj = a + static_cast<std::size_t>(j) * N;
             const cplx ukj = cj[k];
@@ -96,7 +100,7 @@ void small_lu_substitute(const cplx* a, cplx* x, int nrhs) {
         // U x = y.
         for (int j = N - 1; j >= 0; --j) {
             const cplx* cj = a + static_cast<std::size_t>(j) * N;
-            xr[j] /= cj[j];
+            xr[j] = simd::div_s(xr[j], cj[j]);
             const cplx xj = xr[j];
             if (xj == cplx{}) continue;
             simd::fnma_n(j, xj, cj, xr);

@@ -141,7 +141,16 @@ ModelCache::ModelPtr ModelCache::build_miss(const CacheKey& key, const Builder& 
     const std::string hex = key.hex();
     Shard& sh = shard(key);
 
-    // Disk probe first: another thread/process may have persisted the model
+    // Memory re-check: get_or_build's miss and this flight's start are not
+    // atomic, so a flight for the same key may have finished (and left the
+    // single-flight table) in between. Its model is in memory by now; taking
+    // it here is a memory hit, not a second build.
+    {
+        util::MutexLock lock(sh.mutex);
+        if (ModelPtr m = memory_lookup_locked(sh, key)) return m;
+    }
+
+    // Disk probe next: another thread/process may have persisted the model
     // since our memory miss.
     if (disk_) {
         if (ModelPtr m = disk_->load(hex)) {

@@ -46,7 +46,8 @@ struct QueryBatcherOptions {
     /// never depends on composition, only throughput does.
     int max_batch = 64;
     /// Flush deadline: at most this long after the first query of a batch
-    /// arrives (the latency half of the policy). 0 = flush immediately.
+    /// arrives (the latency half of the policy). 0 = flush immediately: the
+    /// batch takes what is already queued, with no timed wait.
     double max_wait_ms = 2.0;
     /// Fan-out of batch EXECUTION, SweepOptions convention: 0 = the
     /// process-wide pool, 1 = serial, n > 1 = a dedicated pool of n.

@@ -92,12 +92,20 @@ public:
     /// Blocks until an item is available, the deadline passes, or the queue
     /// is closed and drained. std::nullopt means "no item by the deadline" —
     /// the batcher's cue to flush what it has collected so far.
+    ///
+    /// An expired deadline never blocks: the call takes what is queued (or
+    /// returns std::nullopt) without entering a timed wait, so a zero-length
+    /// collect window is a plain drain. A timed futex wait whose deadline
+    /// passed less than the thread's timer slack ago (50 µs by default on
+    /// Linux) still sleeps out the slack: several times a small query's
+    /// whole compute.
     template <class Clock, class Duration>
     std::optional<T> pop_until(const std::chrono::time_point<Clock, Duration>& deadline)
         EXCLUDES(mutex_) {
         MutexLock lock(mutex_);
         while (items_.empty() && !closed_) {
-            if (ready_.wait_until(mutex_, deadline) == std::cv_status::timeout)
+            if (Clock::now() >= deadline ||
+                ready_.wait_until(mutex_, deadline) == std::cv_status::timeout)
                 break;  // take_locked re-checks: an item may have landed
                         // exactly at the deadline
         }

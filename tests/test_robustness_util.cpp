@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -72,6 +73,32 @@ TEST(MpmcQueue, PopUntilTimesOutWithNullopt) {
                           std::chrono::milliseconds(20))
                   .value(),
               7);
+}
+
+TEST(MpmcQueue, PopUntilPastDeadlineDoesNotBlock) {
+    // An expired deadline never blocks. The just-expired `now()` is the case
+    // that matters: it is what a max_wait_ms = 0 collect window passes, and
+    // a timed wait on it sleeps out the timer slack (50 us by default on
+    // Linux), where a deadline 1 ms past returns from the kernel at once.
+    // The median of 101 calls keeps the bound stable on a loaded host.
+    using clock = std::chrono::steady_clock;
+    MpmcQueue<int> q;
+    for (const auto ago : {std::chrono::microseconds(0), std::chrono::microseconds(1000)}) {
+        std::vector<clock::duration> took;
+        for (int i = 0; i < 101; ++i) {
+            const auto t0 = clock::now();
+            const std::optional<int> got = q.pop_until(t0 - ago);
+            took.push_back(clock::now() - t0);
+            EXPECT_EQ(got, std::nullopt);
+        }
+        std::nth_element(took.begin(), took.begin() + 50, took.end());
+        EXPECT_LT(took[50], std::chrono::microseconds(20)) << ago.count() << " us ago";
+    }
+
+    // With an item queued, the expired deadline still hands it over.
+    int v = 9;
+    ASSERT_EQ(q.try_push(v), PushStatus::kOk);
+    EXPECT_EQ(q.pop_until(clock::now() - std::chrono::milliseconds(1)), std::optional<int>(9));
 }
 
 TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {

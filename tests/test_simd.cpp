@@ -9,10 +9,13 @@
 //  - the blocked matmul / Hessenberg kernels agree with the retained *_naive
 //    seed references numerically (their reduction orders differ by design);
 //  - the fixed-size small-matrix LU is bitwise the generic dense LU on the
-//    same padded matrix, and identity padding is exactly neutral.
+//    same padded matrix, and identity padding is exactly neutral — also
+//    where cabs1 and |.| pick different pivots, and on pencils scaled far
+//    enough (1e+-150) to test Smith division's range.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <vector>
 
@@ -379,6 +382,46 @@ TEST(SmallLu, PaddedSizeAndDispatchBoundaries) {
     EXPECT_EQ(hit, 20);  // f not invoked past the fixed-size range
 }
 
+/// Factors `a` (N x N) and solves for the columns of `b` through BOTH the
+/// fixed-size kernel and the generic detail:: kernel, expects the factors,
+/// the pivots and the solutions to agree bitwise, and returns the solution
+/// (with the pivot order in `perm`).
+template <int N>
+ZMatrix solve_both_lanes(const ZMatrix& a, const ZMatrix& b, std::vector<int>& perm) {
+    ZMatrix generic = a;
+    detail::lu_factor_inplace(generic, perm);
+
+    std::vector<cplx> fixed(a.raw().begin(), a.raw().end());
+    int fperm[N];
+    small_lu_factor<N>(fixed.data(), fperm);
+
+    for (int j = 0; j < N; ++j)
+        for (int i = 0; i < N; ++i)
+            EXPECT_EQ(fixed[static_cast<std::size_t>(j) * N + static_cast<std::size_t>(i)],
+                      generic(i, j))
+                << i << "," << j;
+    for (int i = 0; i < N; ++i)
+        EXPECT_EQ(fperm[i], perm[static_cast<std::size_t>(i)]) << "perm " << i;
+
+    const int m = b.cols();
+    ZMatrix xg(N, m);
+    std::vector<cplx> xf(static_cast<std::size_t>(N) * static_cast<std::size_t>(m));
+    for (int r = 0; r < m; ++r)
+        for (int i = 0; i < N; ++i) {
+            const cplx v = b(perm[static_cast<std::size_t>(i)], r);
+            xg(i, r) = v;
+            xf[static_cast<std::size_t>(r) * N + static_cast<std::size_t>(i)] = v;
+        }
+    detail::lu_substitute_inplace(generic, xg.raw().data(), m);
+    small_lu_substitute<N>(fixed.data(), xf.data(), m);
+    for (int r = 0; r < m; ++r)
+        for (int i = 0; i < N; ++i)
+            EXPECT_EQ(xf[static_cast<std::size_t>(r) * N + static_cast<std::size_t>(i)],
+                      xg(i, r))
+                << i << "," << r;
+    return xg;
+}
+
 TEST(SmallLu, FactorAndSubstituteBitwiseMatchGenericDenseLu) {
     // On the same N x N matrix the fixed-size kernel must be the generic
     // kernel: same pivot scan, same divisions, same update semantics.
@@ -386,41 +429,68 @@ TEST(SmallLu, FactorAndSubstituteBitwiseMatchGenericDenseLu) {
     for (int reps = 0; reps < 3; ++reps) {
         ZMatrix a = testing::random_zmatrix(12, 12, rng);
         for (int i = 0; i < 12; ++i) a(i, i) += 3.0;
+        std::vector<int> perm;
+        solve_both_lanes<12>(a, testing::random_zmatrix(12, 2, rng), perm);
+    }
+}
 
-        ZMatrix generic = a;
-        std::vector<int> gperm;
-        detail::lu_factor_inplace(generic, gperm);
+TEST(SmallLu, Cabs1PivotChoiceStaysBitwiseGenericAndAccurate) {
+    // Column 0 offers 1 + 1i (|.| = 1.414, cabs1 = 2) against 1.5 (|.| = 1.5,
+    // cabs1 = 1.5): a std::abs scan would pivot on row 1, the cabs1 scan of
+    // LAPACK's izamax pivots on row 0. Both lanes must make that same choice,
+    // and the solve must stay as accurate as the |.|-pivoted one.
+    constexpr int N = 8;
+    util::Rng rng(79);
+    ZMatrix a = testing::random_zmatrix(N, N, rng);
+    for (int i = 2; i < N; ++i) a(i, 0) *= 0.25;  // cabs1 <= 0.5 below row 1
+    for (int i = 1; i < N; ++i) a(i, i) += 3.0;
+    a(0, 0) = cplx(1.0, 1.0);
+    a(1, 0) = cplx(1.5, 0.0);
+    ASSERT_GT(std::abs(a(1, 0)), std::abs(a(0, 0)));
+    ASSERT_GT(simd::abs1(a(0, 0)), simd::abs1(a(1, 0)));
 
-        std::vector<cplx> fixed(a.raw().begin(), a.raw().end());
-        int fperm[12];
-        small_lu_factor<12>(fixed.data(), fperm);
+    const ZMatrix b = testing::random_zmatrix(N, 2, rng);
+    std::vector<int> perm;
+    const ZMatrix x = solve_both_lanes<N>(a, b, perm);
+    EXPECT_EQ(perm[0], 0);  // the cabs1 choice, not the |.| one
+    EXPECT_LE(norm_max(matmul(a, x) - b), 1e-10 * (1.0 + norm_max(b)));
+}
 
-        for (int j = 0; j < 12; ++j)
-            for (int i = 0; i < 12; ++i)
-                EXPECT_EQ(fixed[static_cast<std::size_t>(j) * 12 +
-                                static_cast<std::size_t>(i)],
-                          generic(i, j))
-                    << i << "," << j;
-        for (int i = 0; i < 12; ++i)
-            EXPECT_EQ(fperm[i], gperm[static_cast<std::size_t>(i)]) << "perm " << i;
-
-        const ZMatrix b = testing::random_zmatrix(12, 2, rng);
-        ZMatrix xg(12, 2);
-        std::vector<cplx> xf(24);
+TEST(SmallLu, SmithDivisionKeepsExtremelyScaledPencilsInRange) {
+    // A q = 14 pencil K = G + sC in the direct lane's identity-padded N = 16
+    // layout, solved again with K and B scaled by 1e+150 and by 1e-150. The
+    // true quotients stay O(1), and Smith division scales by the larger
+    // denominator component, so no intermediate overflows or underflows:
+    // the scaled solve must be the unscaled one to relative 1e-12, on both
+    // lanes (which still agree bitwise).
+    constexpr int q = 14, N = small_padded_size(q);
+    static_assert(N == 16, "q = 14 pads to 16");
+    util::Rng rng(83);
+    const Matrix g = testing::random_dd_matrix(q, rng);
+    const Matrix c = testing::random_matrix(q, q, rng);
+    const cplx s(0.2, 1.3);
+    const ZMatrix b0 = testing::random_zmatrix(q, 2, rng);
+    auto padded = [&](double scale, ZMatrix& k, ZMatrix& b) {
+        k = ZMatrix(N, N);
+        b = ZMatrix(N, 2);
+        for (int j = 0; j < N; ++j)
+            for (int i = 0; i < N; ++i)
+                k(i, j) = (i < q && j < q) ? scale * (g(i, j) + s * c(i, j))
+                                           : cplx(i == j ? 1.0 : 0.0);
         for (int r = 0; r < 2; ++r)
-            for (int i = 0; i < 12; ++i) {
-                const cplx v = b(gperm[static_cast<std::size_t>(i)], r);
-                xg(i, r) = v;
-                xf[static_cast<std::size_t>(r) * 12 + static_cast<std::size_t>(i)] = v;
-            }
-        detail::lu_substitute_inplace(generic, xg.raw().data(), 2);
-        small_lu_substitute<12>(fixed.data(), xf.data(), 2);
-        for (int r = 0; r < 2; ++r)
-            for (int i = 0; i < 12; ++i)
-                EXPECT_EQ(xf[static_cast<std::size_t>(r) * 12 +
-                             static_cast<std::size_t>(i)],
-                          xg(i, r))
-                    << i << "," << r;
+            for (int i = 0; i < q; ++i) b(i, r) = scale * b0(i, r);
+    };
+
+    ZMatrix k, b;
+    std::vector<int> perm;
+    padded(1.0, k, b);
+    const ZMatrix x = solve_both_lanes<N>(k, b, perm);
+    for (const double scale : {1e150, 1e-150}) {
+        padded(scale, k, b);
+        const ZMatrix xs = solve_both_lanes<N>(k, b, perm);
+        for (const cplx& v : xs.raw())
+            ASSERT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag())) << scale;
+        EXPECT_LE(norm_max(xs - x), 1e-12 * norm_max(x)) << scale;
     }
 }
 
