@@ -12,26 +12,26 @@ namespace varmor::la {
 
 namespace detail {
 
-/// In-place dense LU with partial pivoting on column-major storage. After
-/// the call, `lu` holds unit-diagonal L below the diagonal and U on/above
-/// it with P*A = L*U; `perm` records the row permutation (row i of the
-/// factored matrix is row perm[i] of A) and the returned value is the
-/// permutation sign. Column-oriented elimination: the multipliers of column
-/// k are formed contiguously (Smith division for complex T, simd::div_s),
-/// then each trailing column takes one streaming rank-1 update — four
-/// columns per pass so the multiplier column is read once per four updates.
-/// Throws varmor::Error if A is singular to working precision. Shared by
-/// DenseLu and DenseLuWorkspace so the two stay bit-identical.
+/// In-place dense LU with partial pivoting on an n x n column-major buffer
+/// (leading dimension n). After the call, `a` holds unit-diagonal L below
+/// the diagonal and U on/above it with P*A = L*U; `perm` (length n) records
+/// the row permutation (row i of the factored matrix is row perm[i] of A)
+/// and the returned value is the permutation sign. Column-oriented
+/// elimination: the multipliers of column k are formed contiguously (Smith
+/// division for complex T, simd::div_s), then each trailing column takes
+/// one streaming rank-1 update — four columns per pass so the multiplier
+/// column is read once per four updates. Throws varmor::Error if A is
+/// singular to working precision. The one dense LU elimination body, shared
+/// by DenseLu and DenseLuWorkspace so the two stay bit-identical.
 template <class T>
-int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
-    check(lu.rows() == lu.cols(), "DenseLu: square matrix required");
-    const int n = lu.rows();
-    perm.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
+int lu_factor_inplace(T* a, int n, int* perm) {
+    const std::size_t ld = static_cast<std::size_t>(n);
+    auto col = [&](int j) { return a + static_cast<std::size_t>(j) * ld; };
+    for (int i = 0; i < n; ++i) perm[i] = i;
     int sign = 1;
 
     for (int k = 0; k < n; ++k) {
-        T* ck = lu.col_data(k);
+        T* ck = col(k);
         // Partial pivoting: largest cabs1 magnitude (|re| + |im|, LAPACK's
         // izamax) in column k at/below row k; plain |x| for real T.
         int piv = k;
@@ -42,8 +42,8 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
         }
         check(best > 0.0, "DenseLu: matrix is numerically singular");
         if (piv != k) {
-            for (int j = 0; j < n; ++j) std::swap(lu(k, j), lu(piv, j));
-            std::swap(perm[static_cast<std::size_t>(k)], perm[static_cast<std::size_t>(piv)]);
+            for (int j = 0; j < n; ++j) std::swap(col(j)[k], col(j)[piv]);
+            std::swap(perm[k], perm[piv]);
             sign = -sign;
         }
         const T pivot = ck[k];
@@ -53,10 +53,10 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
         constexpr int W = P::lanes;
         int j = k + 1;
         for (; j + 4 <= n; j += 4) {
-            T* c0 = lu.col_data(j);
-            T* c1 = lu.col_data(j + 1);
-            T* c2 = lu.col_data(j + 2);
-            T* c3 = lu.col_data(j + 3);
+            T* c0 = col(j);
+            T* c1 = col(j + 1);
+            T* c2 = col(j + 2);
+            T* c3 = col(j + 3);
             const T u0 = c0[k], u1 = c1[k], u2 = c2[k], u3 = c3[k];
             const P v0 = P::broadcast(u0), v1 = P::broadcast(u1);
             const P v2 = P::broadcast(u2), v3 = P::broadcast(u3);
@@ -79,11 +79,12 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
         // Remainder columns spell the update with the SAME operand order as
         // the blocked pass (multiplier first, broadcast u second): the fused
         // complex product is not symmetric in its factors, so calling
-        // fnma_n(ukj, ck, cj) here would round differently and break the
-        // bitwise contract with small_lu_factor, which uses this order for
-        // every column.
+        // fnma_n(ukj, ck, cj) here would round differently, and a column's
+        // values would depend on whether it fell in a block of four or in
+        // the remainder — i.e. on n, which breaks the identity-padding
+        // neutrality the padded small_dense.h entry points rely on.
         for (; j < n; ++j) {
-            T* cj = lu.col_data(j);
+            T* cj = col(j);
             const T ukj = cj[k];
             if (ukj == T{}) continue;
             const P uv = P::broadcast(ukj);
@@ -94,6 +95,14 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
         }
     }
     return sign;
+}
+
+/// lu_factor_inplace on a square MatrixT; `perm` is resized to n.
+template <class T>
+int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
+    check(lu.rows() == lu.cols(), "DenseLu: square matrix required");
+    perm.resize(static_cast<std::size_t>(lu.rows()));
+    return lu_factor_inplace(lu.raw().data(), lu.rows(), perm.data());
 }
 
 /// Forward/back substitution on `nrhs` right-hand sides stored column-major
@@ -107,20 +116,20 @@ int lu_factor_inplace(MatrixT<T>& lu, std::vector<int>& perm) {
 /// classic row-oriented loop — agreement with pre-kernel-split results is
 /// numerical, not bitwise.
 template <class T>
-void lu_substitute_inplace(const MatrixT<T>& lu, T* x, int nrhs) {
-    const int n = lu.rows();
+void lu_substitute_inplace(const T* lu, int n, T* x, int nrhs) {
+    const std::size_t ld = static_cast<std::size_t>(n);
     // Eight right-hand sides per pass over the factors: each RHS column is
     // still eliminated by its own fnma_n calls, so the block width only
     // changes how often the L/U columns stream through cache, never the
     // per-column arithmetic — any width gives bit-identical results.
     for (int r0 = 0; r0 < nrhs; r0 += 8) {
         const int rw = std::min(8, nrhs - r0);
-        T* xs = x + static_cast<std::size_t>(r0) * static_cast<std::size_t>(n);
+        T* xs = x + static_cast<std::size_t>(r0) * ld;
         // L y = P b (unit diagonal).
         for (int j = 0; j < n; ++j) {
-            const T* cj = lu.col_data(j);
+            const T* cj = lu + static_cast<std::size_t>(j) * ld;
             for (int r = 0; r < rw; ++r) {
-                T* xr = xs + static_cast<std::size_t>(r) * static_cast<std::size_t>(n);
+                T* xr = xs + static_cast<std::size_t>(r) * ld;
                 const T xj = xr[j];
                 if (xj == T{}) continue;
                 simd::fnma_n(n - j - 1, xj, cj + j + 1, xr + j + 1);
@@ -128,9 +137,9 @@ void lu_substitute_inplace(const MatrixT<T>& lu, T* x, int nrhs) {
         }
         // U x = y.
         for (int j = n - 1; j >= 0; --j) {
-            const T* cj = lu.col_data(j);
+            const T* cj = lu + static_cast<std::size_t>(j) * ld;
             for (int r = 0; r < rw; ++r) {
-                T* xr = xs + static_cast<std::size_t>(r) * static_cast<std::size_t>(n);
+                T* xr = xs + static_cast<std::size_t>(r) * ld;
                 xr[j] = simd::div_s(xr[j], cj[j]);
                 const T xj = xr[j];
                 if (xj == T{}) continue;
@@ -138,6 +147,12 @@ void lu_substitute_inplace(const MatrixT<T>& lu, T* x, int nrhs) {
             }
         }
     }
+}
+
+/// lu_substitute_inplace against the factors held in a MatrixT.
+template <class T>
+void lu_substitute_inplace(const MatrixT<T>& lu, T* x, int nrhs) {
+    lu_substitute_inplace(lu.raw().data(), lu.rows(), x, nrhs);
 }
 
 /// Applies the row permutation to one column in place via gather through

@@ -7,7 +7,6 @@
 #include "la/hessenberg.h"
 #include "la/ops.h"
 #include "la/simd.h"
-#include "la/small_dense.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -53,45 +52,6 @@ void stamp_affine(const std::vector<double>& packed, const std::vector<double>& 
         la::simd::axpy_n(static_cast<int>(block), p[i], packed.data() + block * (i + 1),
                          acc);
     }
-}
-
-/// The fixed-size direct-lane solve: stamps the identity-padded pencil
-/// K_N = diag(G~+sC~, I), factors and substitutes with the fully unrolled
-/// small_lu kernels, and leaves the top q rows of K^-1 B~ in ws.x. Bitwise
-/// the generic klu path on the embedded q x q block (see la/small_dense.h).
-template <int N>
-void small_direct_solve(int q, int m, cplx s, const la::Matrix& gp,
-                        const la::Matrix& cp, const ZMatrix& bz,
-                        RomEvalWorkspace& ws) {
-    ws.kpad.resize(static_cast<std::size_t>(N) * N);
-    ws.kperm.resize(static_cast<std::size_t>(N));
-    ws.xpad.resize(static_cast<std::size_t>(N) * static_cast<std::size_t>(m));
-    cplx* k = ws.kpad.data();
-    for (int j = 0; j < q; ++j) {
-        cplx* col = k + static_cast<std::size_t>(j) * N;
-        la::simd::pencil_stamp_n(q, s, gp.col_data(j), cp.col_data(j), col);
-        for (int i = q; i < N; ++i) col[i] = cplx{};
-    }
-    for (int j = q; j < N; ++j) {
-        cplx* col = k + static_cast<std::size_t>(j) * N;
-        for (int i = 0; i < N; ++i) col[i] = cplx{};
-        col[j] = 1.0;
-    }
-    la::small_lu_factor<N>(k, ws.kperm.data());
-    cplx* x = ws.xpad.data();
-    for (int r = 0; r < m; ++r) {
-        const cplx* br = bz.col_data(r);
-        cplx* xr = x + static_cast<std::size_t>(r) * N;
-        for (int i = 0; i < N; ++i) {
-            const int pi = ws.kperm[static_cast<std::size_t>(i)];
-            xr[i] = pi < q ? br[pi] : cplx{};
-        }
-    }
-    la::small_lu_substitute<N>(k, x, m);
-    if (ws.x.rows() != q || ws.x.cols() != m) ws.x = ZMatrix(q, m);
-    for (int r = 0; r < m; ++r)
-        std::copy(x + static_cast<std::size_t>(r) * N,
-                  x + static_cast<std::size_t>(r) * N + q, ws.x.col_data(r));
 }
 
 /// Stamps ms = (I + sH)^T for one frequency from the per-sample band
@@ -193,30 +153,24 @@ void RomEvalEngine::prepare_transfer(RomEvalWorkspace& ws) const {
     ws.transfer_ready = true;
 }
 
+void RomEvalEngine::direct_solve(cplx s, RomEvalWorkspace& ws) const {
+    ZMatrix& k = ws.klu.stamp(q_);
+    la::simd::pencil_stamp_n(q_ * q_, s, ws.gp.raw().data(), ws.cp.raw().data(),
+                             k.raw().data());
+    ws.klu.factor_stamped();
+    if (ws.x.rows() != q_ || ws.x.cols() != m_) ws.x = ZMatrix(q_, m_);
+    ws.x.raw() = bz_.raw();
+    ws.klu.solve_inplace(ws.x);
+}
+
 ZMatrix RomEvalEngine::transfer(cplx s, RomEvalWorkspace& ws) const {
     check(ws.stamped, "RomEvalEngine::transfer: stamp_parameters first");
     if (!ws.transfer_ready) prepare_transfer(ws);
 
     if (ws.direct_path) {
-        // The direct kernel (small-q fast lane and singular-G~ fallback):
-        // factor the complex pencil at this frequency. Below
-        // kDirectPathOrder the identity-padded fixed-size kernels run the
-        // same arithmetic fully unrolled; the generic workspace LU serves
-        // the singular-G~ fallback at q >= kDirectPathOrder. Both stamp
-        // through simd::pencil_stamp_n and eliminate with the same
-        // per-element semantics, so the lanes agree bitwise.
-        const bool fixed = la::small_lu_dispatch(q_, [&](auto n) {
-            small_direct_solve<decltype(n)::value>(q_, m_, s, ws.gp, ws.cp, bz_, ws);
-        });
-        if (!fixed) {
-            ZMatrix& k = ws.klu.stamp(q_);
-            la::simd::pencil_stamp_n(q_ * q_, s, ws.gp.raw().data(),
-                                     ws.cp.raw().data(), k.raw().data());
-            ws.klu.factor_stamped();
-            if (ws.x.rows() != q_ || ws.x.cols() != m_) ws.x = ZMatrix(q_, m_);
-            ws.x.raw() = bz_.raw();
-            ws.klu.solve_inplace(ws.x);
-        }
+        // The direct lane (small-q fast lane and singular-G~ fallback): one
+        // dense complex LU of the pencil at this frequency.
+        direct_solve(s, ws);
         return la::matmul(lzt_, ws.x);
     }
 
@@ -246,15 +200,8 @@ ZMatrix RomEvalEngine::transfer_sensitivity(cplx s, int param,
     la::simd::pencil_stamp_n(static_cast<int>(block), s, dg, dc, ws.dk.raw().data());
 
     if (ws.direct_path) {
-        // Direct lane (small q, or singular G~(p)): factor K = G~ + sC~ once
-        // into the workspace and apply it twice.
-        ZMatrix& k = ws.klu.stamp(q_);
-        la::simd::pencil_stamp_n(q_ * q_, s, ws.gp.raw().data(), ws.cp.raw().data(),
-                                 k.raw().data());
-        ws.klu.factor_stamped();
-        if (ws.x.rows() != q_ || ws.x.cols() != m_) ws.x = ZMatrix(q_, m_);
-        ws.x.raw() = bz_.raw();
-        ws.klu.solve_inplace(ws.x);            // K^-1 B~
+        // Direct lane: factor K = G~ + sC~ once and apply it twice.
+        direct_solve(s, ws);                   // K^-1 B~
         la::matmul_into(ws.dk, ws.x, ws.dkx);  // dK K^-1 B~
         ws.klu.solve_inplace(ws.dkx);          // K^-1 dK K^-1 B~
         ZMatrix out = la::matmul(lzt_, ws.dkx);

@@ -19,7 +19,7 @@ struct RomEvalWorkspace {
     la::Matrix gp;                      ///< G~(p) of the stamped sample
     la::Matrix cp;                      ///< C~(p) of the stamped sample
     la::DenseLuWorkspace<double> glu;   ///< factorization of G~(p)
-    la::DenseLuWorkspace<la::cplx> klu; ///< direct pencil factorization (sensitivities)
+    la::DenseLuWorkspace<la::cplx> klu; ///< K = G~ + sC~ of the direct lane
     // Per-sample transfer data (prepared lazily on the first frequency).
     la::Matrix hh;   ///< H = Q^T (G^-1 C) Q, upper Hessenberg (q x q)
     la::Matrix ht;   ///< H^T — row j of H contiguous, for the stamped solve
@@ -34,17 +34,13 @@ struct RomEvalWorkspace {
     // Per-frequency targets.
     la::ZMatrix ms;  ///< (I + sH)^T stamped per frequency        (q x q)
     la::ZMatrix xs;  ///< Hessenberg solve target                 (q x m)
-    la::ZMatrix x;   ///< K^-1 B~ of the sensitivity path         (q x m)
+    la::ZMatrix x;   ///< K^-1 B~ (direct lane, sensitivities)    (q x m)
     la::ZMatrix dkx; ///< sensitivity chain                       (q x m)
     la::ZMatrix dk;  ///< dG~_i + s dC~_i                         (q x q)
     la::Matrix yr;   ///< Re scratch of the sensitivity G~ solve  (q x m)
     la::Matrix yi;   ///< Im scratch of the sensitivity G~ solve  (q x m)
     la::Matrix ac;   ///< G~(p)^-1 C~(p) of the pole path         (q x q)
     std::vector<double> hv;  ///< Householder scratch
-    // Fixed-size direct-lane scratch (identity-padded pencil, q < 20).
-    std::vector<la::cplx> kpad;  ///< padded pencil, N x N column-major
-    std::vector<la::cplx> xpad;  ///< padded solve target, N x m
-    std::vector<int> kperm;      ///< padded row permutation
     bool stamped = false;        ///< gp/cp hold a valid sample
     bool transfer_ready = false; ///< hh/qh/rh/lqz match the stamped sample
     bool sens_ready = false;     ///< qz/qtz match the stamped sample
@@ -52,9 +48,10 @@ struct RomEvalWorkspace {
     /// Hessenberg split — either because the model is small (q below
     /// RomEvalEngine::kDirectPathOrder, where the per-sample Hessenberg
     /// preparation costs more than it saves) or because G~(p) is singular at
-    /// this sample. Both the small-q fast lane and the singular-G fallback
-    /// route through the SAME kernel, and the choice depends only on (q, the
-    /// stamped values), so looped and batched evaluation agree bitwise.
+    /// this sample. Both cases run the same code — one dense complex LU of
+    /// the pencil per frequency in `klu` — and the choice depends only on
+    /// (q, the stamped values), so looped and batched evaluation agree
+    /// bitwise.
     bool direct_path = false;
 };
 
@@ -136,6 +133,9 @@ public:
 
 private:
     void prepare_transfer(RomEvalWorkspace& ws) const;
+    /// The direct lane's solve: stamps K = G~(p) + sC~(p) into ws.klu,
+    /// factors it and leaves K^-1 B~ in ws.x (the factors stay in ws.klu).
+    void direct_solve(la::cplx s, RomEvalWorkspace& ws) const;
 
     int q_ = 0;   ///< reduced order
     int np_ = 0;  ///< number of parameters

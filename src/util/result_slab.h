@@ -85,7 +85,7 @@ class ResultTicket {
 public:
     ResultTicket() = default;
     ResultTicket(ResultTicket&& other) noexcept
-        : core_(std::move(other.core_)), idx_(other.idx_), gen_(other.gen_) {
+        : core_(std::move(other.core_)), idx_(other.idx_) {
         other.core_.reset();
     }
     ResultTicket& operator=(ResultTicket&& other) noexcept {
@@ -93,7 +93,6 @@ public:
             release();
             core_ = std::move(other.core_);
             idx_ = other.idx_;
-            gen_ = other.gen_;
             other.core_.reset();
         }
         return *this;
@@ -146,9 +145,8 @@ public:
 
 private:
     friend class ResultSlab<T>;
-    ResultTicket(std::shared_ptr<slab_detail::SlabCore<T>> core, std::uint32_t idx,
-                 std::uint32_t gen)
-        : core_(std::move(core)), idx_(idx), gen_(gen) {}
+    ResultTicket(std::shared_ptr<slab_detail::SlabCore<T>> core, std::uint32_t idx)
+        : core_(std::move(core)), idx_(idx) {}
 
     /// Abandon without consuming: the slot recycles when the producer side
     /// is also done (a producer fulfilling an abandoned slot recycles it).
@@ -163,8 +161,7 @@ private:
     }
 
     std::shared_ptr<slab_detail::SlabCore<T>> core_;
-    std::uint32_t idx_ = 0;
-    std::uint32_t gen_ = 0;
+    std::uint32_t idx_ = 0;  ///< no generation: a live ticket pins its slot
 };
 
 /// Slab-allocated result-channel arena: the serving layer's replacement for
@@ -209,7 +206,7 @@ public:
         }
         ++core_->opened;
         return {Channel{idx, core_->slots[idx].gen},
-                ResultTicket<T>(core_, idx, core_->slots[idx].gen)};
+                ResultTicket<T>(core_, idx)};
     }
 
     /// Fulfils the channel with a value; wakes the ticket. Returns false —

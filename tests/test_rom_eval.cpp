@@ -9,6 +9,7 @@
 #include "mor/reduced_model.h"
 #include "mor/rom_eval.h"
 #include "mor_test_utils.h"
+#include "test_helpers.h"
 #include "util/constants.h"
 
 namespace varmor::mor {
@@ -287,9 +288,10 @@ TEST(RomEvalEngine, LargeModelsKeepTheHessenbergPath) {
 
 TEST(RomEvalEngine, SingularGFallsBackToDirectPencil) {
     // G~ singular but the pencil G~ + sC~ invertible at s != 0: a pure
-    // capacitor. The Hessenberg split cannot form G~^-1 C~, so the engine
-    // must fall back to per-frequency pencil factorization — and stay
-    // bit-identical to the looped transfer() path (same branch, same values).
+    // capacitor. At q = 1 the small-q lane answers before G~ is ever
+    // factored, so this pins the direct solve on a singular G~ and its
+    // agreement with the looped transfer() path; the Hessenberg lane's
+    // fallback (q >= kDirectPathOrder) is SingularGFallbackAtHessenbergOrder.
     ReducedModel m;
     m.g0 = la::Matrix{{0.0}};
     m.c0 = la::Matrix{{1.0}};
@@ -302,6 +304,77 @@ TEST(RomEvalEngine, SingularGFallsBackToDirectPencil) {
     const ZMatrix h = engine.transfer(s, ws);
     EXPECT_LE(std::abs(h(0, 0) - cplx(0.0, -0.5)), 1e-14);  // 1/(2i)
     EXPECT_EQ(h(0, 0), m.transfer(s, {})(0, 0));
+}
+
+TEST(RomEvalEngine, SingularGFallbackAtHessenbergOrder) {
+    // q = 24 >= kDirectPathOrder, so prepare_transfer tries to factor G~(p)
+    // for the Hessenberg split. Row and column 0 of every G~ term are zero,
+    // so G~(p) is exactly singular at every sample while G~ + sC~ (C~
+    // diagonally dominant) stays invertible: the engine must fall back to
+    // the direct pencil solve for transfers AND sensitivities, agree with an
+    // explicit DenseLu solve of the pencil, and keep grid == loop bitwise.
+    constexpr int q = 24;
+    ASSERT_GE(q, RomEvalEngine::kDirectPathOrder);
+    util::Rng rng(97);
+    auto zero_first = [](la::Matrix a) {
+        for (int i = 0; i < a.rows(); ++i) a(0, i) = a(i, 0) = 0.0;
+        return a;
+    };
+    ReducedModel model;
+    model.g0 = zero_first(testing::random_dd_matrix(q, rng));
+    model.c0 = testing::random_dd_matrix(q, rng);
+    for (int i = 0; i < 2; ++i) {
+        model.dg.push_back(zero_first(testing::random_matrix(q, q, rng)));
+        model.dc.push_back(testing::random_matrix(q, q, rng));
+    }
+    model.b = testing::random_matrix(q, 2, rng);
+    model.l = testing::random_matrix(q, 2, rng);
+    const RomEvalEngine engine(model);
+    const auto samples = make_samples(3, model.num_params(), 101);
+    const std::vector<cplx> s_points = {cplx(0.0, 0.5), cplx(0.1, 2.0), cplx(0.0, 7.0)};
+    const ZMatrix lt = la::transpose(la::to_complex(model.l));
+
+    RomEvalWorkspace ws;
+    for (const auto& p : samples) {
+        engine.stamp_parameters(p, ws);
+        const la::Matrix gp = model.g_at(p);
+        const la::Matrix cp = model.c_at(p);
+        for (const cplx& s : s_points) {
+            const ZMatrix h = engine.transfer(s, ws);
+            ASSERT_TRUE(ws.direct_path);
+
+            la::ZMatrix k(q, q);
+            for (std::size_t e = 0; e < k.raw().size(); ++e)
+                k.raw()[e] = gp.raw()[e] + s * cp.raw()[e];
+            const la::DenseLu<cplx> klu(k);
+            const ZMatrix x = klu.solve(la::to_complex(model.b));
+            const ZMatrix ref = la::matmul(lt, x);
+            EXPECT_LE(la::norm_max(h - ref), 1e-12 * la::norm_max(ref));
+
+            for (int i = 0; i < model.num_params(); ++i) {
+                const auto ui = static_cast<std::size_t>(i);
+                la::ZMatrix dk(q, q);
+                for (std::size_t e = 0; e < dk.raw().size(); ++e)
+                    dk.raw()[e] = model.dg[ui].raw()[e] + s * model.dc[ui].raw()[e];
+                ZMatrix dref = la::matmul(lt, klu.solve(la::matmul(dk, x)));
+                for (cplx& v : dref.raw()) v = -v;
+                EXPECT_LE(la::norm_max(engine.transfer_sensitivity(s, i, ws) - dref),
+                          1e-12 * la::norm_max(dref))
+                    << "param " << i;
+            }
+        }
+    }
+
+    std::vector<std::vector<ZMatrix>> looped;
+    for (const auto& p : samples) {
+        std::vector<ZMatrix> row;
+        for (const cplx& s : s_points) row.push_back(model.transfer(s, p));
+        looped.push_back(std::move(row));
+    }
+    for (int threads : {1, 8})
+        EXPECT_EQ(max_grid_deviation(engine.transfer_grid(samples, s_points, threads),
+                                     looped), 0.0)
+            << "threads=" << threads;
 }
 
 TEST(RomEvalEngine, EmptyGridDimensions) {
