@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
                 // Client cidx owns every kClients-th corner. Fire all of its
                 // queries first, then collect — clients that block mid-sweep
                 // would starve the batcher of coalescing opportunities (and
-                // leave the flusher idling on deadline waits).
+                // leave the serving threads idling on deadline waits).
                 std::vector<std::pair<std::size_t, std::vector<service::Future<ZMatrix>>>> tf;
                 std::vector<std::pair<std::size_t, service::Future<service::DelayResult>>> df;
                 std::vector<std::pair<std::size_t, service::Future<std::vector<cplx>>>> pf;

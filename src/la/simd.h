@@ -54,6 +54,16 @@ constexpr bool kActive = true;
 constexpr bool kActive = false;
 #endif
 
+/// Busy-wait hint for spin loops (util::spin_until): `pause` on the AVX2 arm
+/// (frees the pipeline for the sibling hyperthread and avoids the memory-order
+/// flush when the loop exits), nothing on the portable arm. Not arithmetic; it
+/// lives here because every intrinsic does.
+inline void cpu_relax() {
+#if defined(VARMOR_SIMD_AVX2)
+    _mm_pause();
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Scalar twins: the per-element semantics of one vector lane. The AVX2 arm
 // fuses through std::fma (a hardware instruction there, bitwise equal to the

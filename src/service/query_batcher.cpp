@@ -48,24 +48,15 @@ std::string point_detail(const std::vector<double>& p) {
     return p.empty() ? std::string() : std::to_string(p[0]);
 }
 
-/// Splits `n` lane units into contiguous [b, e) chunks for the combined
-/// task set and calls `f(b, e)` per chunk (none when n == 0). The chunk
-/// count mirrors the pool's own oversubscription so the work-stealing
-/// scheduler has slack to interleave lanes, without one task per unit.
-template <class F>
-void for_each_chunk(int n, int threads, F&& f) {
-    const int width = threads == 1
-                          ? 1
-                          : (threads > 1 ? threads : util::ThreadPool::global().size());
-    const int chunks =
-        std::min(n, std::max(1, width * util::ThreadPool::kChunksPerWorker));
-    for (int c = 0; c < chunks; ++c)
-        f(static_cast<int>(static_cast<long long>(n) * c / chunks),
-          static_cast<int>(static_cast<long long>(n) * (c + 1) / chunks));
-}
-
 void bump(std::atomic<long>& counter, long n = 1) {
     counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+void raise_max(std::atomic<int>& counter, int n) {
+    int seen = counter.load(std::memory_order_relaxed);
+    while (n > seen &&
+           !counter.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
+    }
 }
 
 }  // namespace
@@ -100,7 +91,16 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine* engine, QueryFallbacks fall
               "QueryBatcher: observe_port out of range");
         check(static_cast<bool>(input_), "QueryBatcher: delay serving needs an input");
     }
-    flusher_ = std::thread([this] { flusher_loop(); });
+    const int width = opts_.threads >= 1 ? opts_.threads
+                                         : util::ThreadPool::default_threads();
+    for (int w = 0; w < width; ++w) servers_.push_back(std::make_unique<Server>());
+    try {
+        for (auto& server : servers_)
+            threads_.emplace_back([this, &server = *server] { serve_loop(server); });
+    } catch (...) {
+        close();  // joins the threads already started before the members go
+        throw;
+    }
 }
 
 QueryBatcher::QueryBatcher(const mor::RomEvalEngine& engine,
@@ -113,9 +113,10 @@ QueryBatcher::QueryBatcher(const mor::RomEvalEngine& engine,
 QueryBatcher::~QueryBatcher() { close(); }
 
 void QueryBatcher::close() {
-    queue_.close();  // flusher drains the tail, then exits
+    queue_.close();  // the serving threads drain the tail, then exit
     util::MutexLock lock(close_mutex_);
-    if (flusher_.joinable()) flusher_.join();
+    for (std::thread& thread : threads_)
+        if (thread.joinable()) thread.join();
 }
 
 template <class Arg, class Result>
@@ -125,8 +126,8 @@ Future<Result> QueryBatcher::admit(Query<Arg, Result> query) {
     query.result = opened.first;
     // The query's trace is born HERE, on the submitting thread: the mint
     // stamps submit time, and every later stage appends to this one object
-    // as it rides through triage and the flush lanes. Inactive (id 0, no
-    // clock read) when telemetry is off.
+    // as it rides through triage and its batch. Inactive (id 0, no clock
+    // read) when telemetry is off.
     query.trace = obs::QueryTrace::mint();
     if (query.deadline.expired()) {
         bump(stats_.expired);
@@ -180,7 +181,7 @@ void QueryBatcher::flush() {
     auto opened = flush_slab_.open();
     Item wrapped(FlushItem{opened.first});
     // force: a flush marker is a control message, exempt from admission
-    // control (shedding it would deadlock the flusher's caller), but not
+    // control (shedding it would deadlock flush()'s caller), but not
     // from close() — after close everything is already drained.
     if (queue_.try_push(wrapped, /*force=*/true) != util::PushStatus::kOk) {
         flush_slab_.set_value(opened.first, {});  // recycle the slot
@@ -204,286 +205,297 @@ QueryBatcherStats QueryBatcher::stats() const {
     return s;
 }
 
-void QueryBatcher::flusher_loop() {
-    using clock = std::chrono::steady_clock;
+void QueryBatcher::serve_loop(Server& server) {
+    bool served = false;  // spin on the next pop only right after serving
     while (true) {
-        std::optional<Item> first = queue_.pop();
-        if (!first) break;  // closed and drained
-
-        std::vector<FlushItem> acks;
-        int nqueries = 0;
-        // Sorts one popped item (visited once) into its lane's pending
-        // batch; true = flush marker (stop collecting so the marker's
-        // "everything before me" promise holds). Deadline triage happens
-        // HERE: a query that expired while queued is completed with
-        // DeadlineExceeded now instead of riding a batch whose result it can
-        // no longer use.
-        auto take = [&](auto& query) -> bool {
-            if constexpr (std::is_same_v<std::decay_t<decltype(query)>, FlushItem>) {
-                acks.push_back(query);
-                return true;
-            } else {
-                auto& lane = lane_of(query);
-                if (!query.deadline.expired()) {
-                    lane.pending.push_back(std::move(query));
-                    ++nqueries;
-                    return false;
-                }
-                // Count BEFORE failing the channel (same order as admit). The
-                // expired query's trace still tells its story: all
-                // queue-wait, resolved as a failure, recorded now (it never
-                // reaches a flush lane).
-                bump(stats_.expired);
-                if (obs::enabled() && query.trace.active()) {
-                    const std::int64_t tnow = util::Timer::now_ns();
-                    query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns, tnow);
-                    query.trace.ok = false;
-                    obs_queue_wait_.record(tnow - query.trace.submit_ns);
-                    obs::TraceStore::global().record(query.trace, lane.name);
-                }
-                lane.slab.set_error(query.result,
-                                    std::make_exception_ptr(DeadlineExceeded(
-                                        "QueryBatcher: deadline expired in the queue")));
-                return false;
-            }
-        };
-
-        bool stop = std::visit(take, *first);
-        if (!stop && nqueries > 0) {
-            // The deadline half of the policy: collect until max_wait_ms
-            // after the batch's FIRST query, or until the size trigger / a
-            // flush marker / queue teardown — whichever comes first.
-            const auto deadline =
-                clock::now() + std::chrono::duration_cast<clock::duration>(
-                                   std::chrono::duration<double, std::milli>(
-                                       opts_.max_wait_ms));
-            while (nqueries < opts_.max_batch) {
-                std::optional<Item> item = queue_.pop_until(deadline);
-                if (!item) break;  // deadline passed, or closed and drained
-                if (std::visit(take, *item)) break;
-            }
-        }
-
-        // The batch is sealed: every collected query's queue wait — the
-        // ingress queue AND the collect window above — ends here, with one
-        // clock read for the whole batch.
-        if (obs::enabled()) {
-            const std::int64_t sealed = util::Timer::now_ns();
-            for_each_lane([&](auto& lane) {
-                for (auto& query : lane.pending)
-                    query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns,
-                                    sealed);
-            });
+        std::uint64_t seq = 0;
+        {
+            util::MutexLock leadership(leader_);
+            if (!collect(server, served)) break;  // closed and drained
+            seq = ++sealed_;
+            server.running.store(seq);
         }
 
         // Publish the batch's stats BEFORE execution: the first fulfilment
         // below releases a waiting client, and a stats() read right after a
         // ticket resolves (or after flush() returns) must already see the
         // batch that produced it.
-        bump(stats_.queries, nqueries);
+        bump(stats_.queries, server.nqueries);
         bump(stats_.batches);
-        if (nqueries > stats_.largest_batch.load(std::memory_order_relaxed))
-            stats_.largest_batch.store(nqueries, std::memory_order_relaxed);
+        raise_max(stats_.largest_batch, server.nqueries);
 
-        // The flusher survives ANYTHING a batch throws — injected faults
-        // included: the failure goes into the affected queries' channels
-        // and the loop serves the next batch. A wedged flusher would wedge
+        // The thread survives ANYTHING a batch throws — injected faults
+        // included: the failure goes into the affected queries' channels and
+        // the loop serves the next batch. A wedged serving thread would wedge
         // every future client; a failed batch only fails its own members.
         try {
             VARMOR_FAULT_POINT("query_batcher.flush");
-            execute();
+            execute(server);
         } catch (...) {
-            // A whole-batch failure can only be thrown BEFORE the lane tasks
-            // run (their bodies catch internally), so no trace here was
-            // finished yet — close them all out as failures.
+            // A whole-batch failure can only be thrown BEFORE the lanes run
+            // (their bodies catch internally), so no trace here was finished
+            // yet — close them all out as failures.
             bump(stats_.flush_failures);
             const std::exception_ptr error = std::current_exception();
-            for_each_lane([&](auto& lane) { fail_pending(lane, error); });
+            for_each_lane(server, [&](auto& lane, auto& pending) {
+                fail_pending(lane, pending, error);
+            });
         }
-        for_each_lane([](auto& lane) { lane.pending.clear(); });
-        for (FlushItem& ack : acks) flush_slab_.set_value(ack.done, {});
+        for_each_lane(server, [](auto&, auto& pending) { pending.clear(); });
+        retire(server);
+        served = server.nqueries > 0;
+        if (server.ack) {
+            // The marker's promise covers every query submitted before it,
+            // and those may ride batches other threads still run.
+            wait_for_batches_before(seq);
+            flush_slab_.set_value(server.ack->done, {});
+            server.ack.reset();
+        }
     }
 }
 
-void QueryBatcher::execute() {
+bool QueryBatcher::collect(Server& server, bool spin) {
+    using clock = std::chrono::steady_clock;
+    std::optional<Item> first = queue_.pop(spin);
+    if (!first) return false;
+
+    server.nqueries = 0;
+    // Sorts one popped item (visited once) into the batch; true = flush
+    // marker (stop collecting so the marker's "everything before me" promise
+    // holds). Deadline triage happens HERE: a query that expired while
+    // queued is completed with DeadlineExceeded now instead of riding a
+    // batch whose result it can no longer use.
+    auto take = [&](auto& query) -> bool {
+        if constexpr (std::is_same_v<std::decay_t<decltype(query)>, FlushItem>) {
+            server.ack = query;
+            return true;
+        } else {
+            auto& lane = lane_of(query);
+            if (!query.deadline.expired()) {
+                server.pending_of(lane).push_back(std::move(query));
+                ++server.nqueries;
+                return false;
+            }
+            // Count BEFORE failing the channel (same order as admit). The
+            // expired query's trace still tells its story: all queue-wait,
+            // resolved as a failure, recorded now (it never runs).
+            bump(stats_.expired);
+            if (obs::enabled() && query.trace.active()) {
+                const std::int64_t tnow = util::Timer::now_ns();
+                query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns, tnow);
+                query.trace.ok = false;
+                obs_queue_wait_.record(tnow - query.trace.submit_ns);
+                obs::TraceStore::global().record(query.trace, lane.name);
+            }
+            lane.slab.set_error(query.result,
+                                std::make_exception_ptr(DeadlineExceeded(
+                                    "QueryBatcher: deadline expired in the queue")));
+            return false;
+        }
+    };
+
+    const bool stop = std::visit(take, *first);
+    if (!stop && server.nqueries > 0) {
+        // The deadline half of the policy: collect until max_wait_ms after
+        // the batch's FIRST query, or until the size trigger / a flush
+        // marker / queue teardown — whichever comes first.
+        const auto deadline =
+            clock::now() + std::chrono::duration_cast<clock::duration>(
+                               std::chrono::duration<double, std::milli>(opts_.max_wait_ms));
+        while (server.nqueries < opts_.max_batch) {
+            std::optional<Item> item = queue_.pop_until(deadline);
+            if (!item) break;  // deadline passed, or closed and drained
+            if (std::visit(take, *item)) break;
+        }
+    }
+
+    // The batch is sealed: every collected query's queue wait — the ingress
+    // queue AND the collect window above — ends here, with one clock read
+    // for the whole batch.
+    if (obs::enabled()) {
+        const std::int64_t sealed = util::Timer::now_ns();
+        for_each_lane(server, [&](auto&, auto& pending) {
+            for (auto& query : pending)
+                query.trace.add(obs::Stage::kQueueWait, query.trace.submit_ns, sealed);
+        });
+    }
+    return true;
+}
+
+void QueryBatcher::retire(Server& server) {
+    server.running.store(kIdle);
+    // Pairs with wait_for_batches_before (both sides seq_cst): either the
+    // waiter sees this thread idle, or this thread sees the waiter and wakes
+    // it under the lock it waits with.
+    if (ack_waiters_.load() > 0) {
+        { util::MutexLock lock(retire_mutex_); }
+        retired_.notify_all();
+    }
+}
+
+void QueryBatcher::wait_for_batches_before(std::uint64_t seq) {
+    ack_waiters_.fetch_add(1);
+    {
+        util::MutexLock lock(retire_mutex_);
+        const auto earlier_running = [&] {
+            for (const auto& other : servers_)
+                if (other->running.load() < seq) return true;
+            return false;
+        };
+        while (earlier_running()) retired_.wait(retire_mutex_);
+    }
+    ack_waiters_.fetch_sub(1);
+}
+
+void QueryBatcher::execute(Server& server) {
     // Failure isolation contract across all three lanes: a query's outcome —
     // value or exception — must depend on ITS OWN arguments only, never on
     // what else happened to be coalesced with it (the serve-alone purity the
     // header promises). Stamp failures fail a whole point group (stamping
     // depends only on p, so every query at that point fails alone too);
-    // everything past the stamp is caught per item. Every task body below
-    // catches internally, so the combined section never aborts early.
-    //
-    // The three lanes are fanned into ONE task set on the work-stealing
-    // pool: dense transfer/pole chunks and sparse delay corners interleave
-    // on the same workers instead of running lane-after-lane. Task
-    // composition affects scheduling only — each item's result is computed
-    // independently, so the overlap is invisible in the bits.
-    Tasks tasks;
+    // everything past the stamp is caught per item, so one lane never stops
+    // another.
 
-    // --- transfer lane: each task stamps (and the engine Hessenberg-
-    // prepares) each of its points once, then answers every coalesced
-    // frequency with one O(q^2) solve. In degraded mode the fallback solves
-    // the FULL pencil per query — slower, same grouping, same isolation.
+    // --- transfer lane: stamp (and the engine Hessenberg-prepares) each
+    // point once, then answer every coalesced frequency with one O(q^2)
+    // solve. In degraded mode the fallback solves the FULL pencil per
+    // query — slower, same grouping, same isolation.
     TransferLane& transfers = std::get<TransferLane>(lanes_);
-    const auto transfer_groups = group_by_point(transfers.pending);
-    bump(stats_.transfer_queries, static_cast<long>(transfers.pending.size()));
+    auto& transfer_queries = server.pending_of(transfers);
+    const auto transfer_groups = group_by_point(transfer_queries);
+    bump(stats_.transfer_queries, static_cast<long>(transfer_queries.size()));
     bump(stats_.transfer_groups, static_cast<long>(transfer_groups.size()));
-    add_grouped_tasks(
+    serve_groups(
         transfers, transfer_groups,
-        [this](const Query<la::cplx, la::ZMatrix>& query, mor::RomEvalWorkspace& ws) {
+        [this](const TransferLane::QueryT& query, mor::RomEvalWorkspace& ws) {
             if (engine_) return engine_->transfer(query.arg, ws);
             if (!fallbacks_.transfer) throw Error("QueryBatcher: no transfer path");
             return fallbacks_.transfer(query.p, query.arg);
         },
-        tasks);
+        server.ws);
 
     // --- pole lane: same grouping; the pole kernel is per-sample only.
     PoleLane& poles = std::get<PoleLane>(lanes_);
-    const auto pole_groups = group_by_point(poles.pending);
-    add_grouped_tasks(
-        poles, pole_groups,
-        [this](const Query<std::monostate, std::vector<la::cplx>>& query,
-               mor::RomEvalWorkspace& ws) {
+    serve_groups(
+        poles, group_by_point(server.pending_of(poles)),
+        [this](const PoleLane::QueryT& query, mor::RomEvalWorkspace& ws) {
             if (engine_) return engine_->poles(ws);
             if (!fallbacks_.poles) throw Error("QueryBatcher: no poles path");
             return fallbacks_.poles(query.p);
         },
-        tasks);
+        server.ws);
 
     // --- delay lane: the forcing series is corner-independent, evaluated
-    // ONCE here on the flusher thread; a failure in it would hit every
-    // corner served alone too, so it fails every delay channel (the
-    // shared-preamble contract).
+    // ONCE per batch; a failure in it would hit every corner served alone
+    // too, so it fails every delay channel (the shared-preamble contract).
     DelayLane& delays = std::get<DelayLane>(lanes_);
+    auto& delay_queries = server.pending_of(delays);
+    if (delay_queries.empty()) return;
     std::vector<la::Vector> forcing;
-    if (!delays.pending.empty()) {
-        try {
-            forcing = transient_->make_forcing(input_);
-        } catch (...) {
-            fail_pending(delays, std::current_exception());
-            delays.pending.clear();
-        }
+    try {
+        forcing = transient_->make_forcing(input_);
+    } catch (...) {
+        fail_pending(delays, delay_queries, std::current_exception());
+        return;
     }
-    add_delay_tasks(forcing, tasks);
-
-    util::ThreadPool::run_tasks(opts_.threads, tasks);
+    serve_delays(server, forcing);
 }
 
 template <class LaneT, class Groups, class Solve>
-void QueryBatcher::add_grouped_tasks(LaneT& lane, const Groups& groups, Solve solve,
-                                     Tasks& tasks) {
-    for_each_chunk(static_cast<int>(groups.size()), opts_.threads, [&](int b, int e) {
-        tasks.push_back([this, &lane, &groups, solve, b, e] {
-            mor::RomEvalWorkspace ws;
-            {
-                // Batch fulfilment: the chunk's answers land under ONE slab
-                // lock with ONE wake-up when the task ends (the destructor
-                // commits), instead of a per-query notify storm across every
-                // blocked client.
-                typename decltype(lane.slab)::Batch done(lane.slab);
-                for (int g = b; g < e; ++g) {
-                    const auto& group = groups[static_cast<std::size_t>(g)];
-                    if (engine_) {
-                        // The stamp is shared by the whole group: ONE timed
-                        // span, copied into every member's trace.
-                        const std::int64_t t0 =
-                            obs::enabled() ? util::Timer::now_ns() : 0;
-                        try {
-                            VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp",
-                                                      point_detail(*group.p));
-                            engine_->stamp_parameters(*group.p, ws);
-                        } catch (...) {
-                            for (auto* query : group.items) {
-                                query->trace.ok = false;
-                                done.set_error(query->result, std::current_exception());
-                            }
-                            continue;
-                        }
-                        if (t0 != 0) {
-                            const std::int64_t t1 = util::Timer::now_ns();
-                            for (auto* query : group.items)
-                                query->trace.add(obs::Stage::kStamp, t0, t1);
-                        }
-                    }
-                    for (auto* query : group.items) {
-                        obs::ScopedSpan span(obs::enabled() ? &query->trace : nullptr,
-                                             obs::Stage::kSolve);
-                        try {
-                            done.set_value(query->result, solve(*query, ws));
-                        } catch (...) {
-                            // e.g. the pencil singular at exactly this s:
-                            // fails THIS query only, like serve-alone would.
-                            query->trace.ok = false;
-                            done.set_error(query->result, std::current_exception());
-                        }
-                    }
+void QueryBatcher::serve_groups(LaneT& lane, const Groups& groups, Solve solve,
+                                mor::RomEvalWorkspace& ws) {
+    // Batch fulfilment: a group's answers land under ONE slab lock with ONE
+    // wake-up, instead of a per-query notify storm across every blocked
+    // client; the clients of one group are released before the next group
+    // is stamped.
+    typename decltype(lane.slab)::Batch done(lane.slab);
+    for (const auto& group : groups) {
+        bool stamped = true;
+        if (engine_) {
+            // The stamp is shared by the whole group: ONE timed span, copied
+            // into every member's trace.
+            const std::int64_t t0 = obs::enabled() ? util::Timer::now_ns() : 0;
+            try {
+                VARMOR_FAULT_POINT_DETAIL("query_batcher.stamp", point_detail(*group.p));
+                engine_->stamp_parameters(*group.p, ws);
+            } catch (...) {
+                for (auto* query : group.items) {
+                    query->trace.ok = false;
+                    done.set_error(query->result, std::current_exception());
                 }
-            }  // batch committed: the chunk's results are visible now
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (int g = b; g < e; ++g)
-                    for (auto* query : groups[static_cast<std::size_t>(g)].items)
-                        finish_trace(lane, query->trace, tf);
+                stamped = false;
             }
-        });
-    });
+            if (stamped && t0 != 0) {
+                const std::int64_t t1 = util::Timer::now_ns();
+                for (auto* query : group.items) query->trace.add(obs::Stage::kStamp, t0, t1);
+            }
+        }
+        if (stamped)
+            for (auto* query : group.items) {
+                obs::ScopedSpan span(obs::enabled() ? &query->trace : nullptr,
+                                     obs::Stage::kSolve);
+                try {
+                    done.set_value(query->result, solve(*query, ws));
+                } catch (...) {
+                    // e.g. the pencil singular at exactly this s: fails THIS
+                    // query only, like serve-alone would.
+                    query->trace.ok = false;
+                    done.set_error(query->result, std::current_exception());
+                }
+            }
+        done.commit();  // the group's results are visible now
+        if (obs::enabled()) {
+            const std::int64_t tf = util::Timer::now_ns();
+            for (auto* query : group.items) finish_trace(lane, query->trace, tf);
+        }
+    }
 }
 
-void QueryBatcher::add_delay_tasks(const std::vector<la::Vector>& forcing, Tasks& tasks) {
-    // The pending corners ARE a TransientBatchRunner corner batch (one
+void QueryBatcher::serve_delays(Server& server, const std::vector<la::Vector>& forcing) {
+    // The batch's corners ARE a TransientBatchRunner corner batch (one
     // refactorization per corner). Per-corner execution keeps the captured-
     // batch isolation: a failing corner fails ITS ticket only, and every
     // other corner's answer comes from this same batch — never from a
     // re-run, so no extra work and bit-identical results whether or not a
     // batchmate failed.
     DelayLane& lane = std::get<DelayLane>(lanes_);
-    const int n = static_cast<int>(lane.pending.size());
-    for_each_chunk(n, opts_.threads, [&](int b, int e) {
-        tasks.push_back([this, &lane, &forcing, b, e] {
-            analysis::TransientBatchRunner::Scratch scratch = transient_->make_scratch();
-            {
-                util::ResultSlab<DelayResult>::Batch done(lane.slab);
-                for (int i = b; i < e; ++i) {
-                    auto& query = lane.pending[static_cast<std::size_t>(i)];
-                    obs::ScopedSpan span(obs::enabled() ? &query.trace : nullptr,
-                                         obs::Stage::kSolve);
-                    analysis::TransientBatchRunner::CornerOutcome outcome =
-                        transient_->run_corner_captured(query.p, forcing, scratch);
-                    try {
-                        if (outcome.error) std::rethrow_exception(outcome.error);
-                        done.set_value(query.result,
-                                       DelayResult{analysis::crossing_time(
-                                                       *outcome.result, observe_, level_),
-                                                   level_});
-                    } catch (...) {
-                        query.trace.ok = false;
-                        done.set_error(query.result, std::current_exception());
-                    }
-                }
+    if (!server.scratch) server.scratch = transient_->make_scratch();
+    util::ResultSlab<DelayResult>::Batch done(lane.slab);
+    for (auto& query : server.pending_of(lane)) {
+        {
+            obs::ScopedSpan span(obs::enabled() ? &query.trace : nullptr,
+                                 obs::Stage::kSolve);
+            analysis::TransientBatchRunner::CornerOutcome outcome =
+                transient_->run_corner_captured(query.p, forcing, *server.scratch);
+            try {
+                if (outcome.error) std::rethrow_exception(outcome.error);
+                done.set_value(query.result,
+                               DelayResult{analysis::crossing_time(*outcome.result,
+                                                                   observe_, level_),
+                                           level_});
+            } catch (...) {
+                query.trace.ok = false;
+                done.set_error(query.result, std::current_exception());
             }
-            if (obs::enabled()) {
-                const std::int64_t tf = util::Timer::now_ns();
-                for (int i = b; i < e; ++i)
-                    finish_trace(lane, lane.pending[static_cast<std::size_t>(i)].trace,
-                                 tf);
-            }
-        });
-    });
+        }
+        done.commit();
+        if (obs::enabled()) finish_trace(lane, query.trace, util::Timer::now_ns());
+    }
 }
 
-template <class LaneT>
-void QueryBatcher::fail_pending(LaneT& lane, const std::exception_ptr& error) {
+template <class LaneT, class Pending>
+void QueryBatcher::fail_pending(LaneT& lane, Pending& pending,
+                                const std::exception_ptr& error) {
     {
         typename decltype(lane.slab)::Batch done(lane.slab);
-        for (auto& query : lane.pending) {
+        for (auto& query : pending) {
             query.trace.ok = false;
             done.set_error(query.result, error);
         }
     }
     if (obs::enabled()) {
         const std::int64_t tf = util::Timer::now_ns();
-        for (auto& query : lane.pending) finish_trace(lane, query.trace, tf);
+        for (auto& query : pending) finish_trace(lane, query.trace, tf);
     }
 }
 

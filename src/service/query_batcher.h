@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -49,8 +50,10 @@ struct QueryBatcherOptions {
     /// arrives (the latency half of the policy). 0 = flush immediately: the
     /// batch takes what is already queued, with no timed wait.
     double max_wait_ms = 2.0;
-    /// Fan-out of batch EXECUTION, SweepOptions convention: 0 = the
-    /// process-wide pool, 1 = serial, n > 1 = a dedicated pool of n.
+    /// Serving threads W, SweepOptions convention: 0 = as many as the
+    /// process-wide pool, 1 = one thread (collect, then execute, in turn),
+    /// n > 1 = n. The threads take turns collecting a batch and each runs
+    /// the batch it collected, so batch N+1 is collected while batch N runs.
     int threads = 0;
     /// Admission bound: at most this many queries pending in the ingress
     /// queue; past it submits are SHED with an OverloadError future (0 =
@@ -71,7 +74,7 @@ struct QueryBatcherStats {
     long expired = 0;          ///< queries completed with DeadlineExceeded
     long rejected_closed = 0;  ///< submits after close() (ServiceClosed)
     long flush_failures = 0;   ///< batches whose execution itself failed (every
-                               ///< member got the failure; the flusher survived)
+                               ///< member got the failure; its thread survived)
 };
 
 /// Degraded-mode serving paths used when no ROM engine is available (the
@@ -101,23 +104,28 @@ struct QueryFallbacks {
 ///   poles(p)        ROM poles at a corner     -> engine pole kernel, grouped
 ///                                                by parameter point
 ///
-/// Queries are enqueued on a util::MpmcQueue and drained by one flusher
-/// thread under a size/deadline policy: a batch flushes when `max_batch`
-/// queries are pending or `max_wait_ms` after its first query arrived,
-/// whichever comes first. flush() forces a drain of everything already
-/// submitted.
+/// Queries are enqueued on a util::MpmcQueue and served by W threads (see
+/// QueryBatcherOptions::threads) in a leader/followers loop. One thread at
+/// a time holds leadership and collects a batch under a size/deadline
+/// policy: the batch is sealed when `max_batch` queries are pending or
+/// `max_wait_ms` after its first query arrived, whichever comes first. The
+/// leader then hands leadership on and runs its batch inline, so the next
+/// batch is collected while this one runs. flush() forces a drain of
+/// everything already submitted.
 ///
 /// Each query class is one Lane (result slab, latency histogram, trace
-/// name, pending batch) of a single template; transfer and poles share one
-/// grouped-point executor and differ only in the solve they pass it.
+/// name) of a single template; transfer and poles share one grouped-point
+/// executor and differ only in the solve they pass it. Each serving thread
+/// keeps one mor::RomEvalWorkspace and one transient Scratch for its whole
+/// life, and answers the batch it collected point group by point group,
+/// committing one slab Batch per group. Nothing runs on the
+/// util::ThreadPool.
 ///
-/// Within one flush the three lanes are OVERLAPPED, not sequential: the
-/// transfer lane's dense Hessenberg chunks, the pole lane's sample chunks
-/// and the delay lane's sparse transient corners are submitted as ONE task
-/// set to the work-stealing util::ThreadPool, so a worker that finishes its
-/// dense chunks steals sparse corners (and vice versa) instead of idling at
-/// a lane barrier. Results are unaffected — every task computes items
-/// independently (the bit-identity contract below).
+/// Waits are spin-then-park: a thread that has just served a batch polls
+/// the queue for up to util::kSpinBudget before it sleeps, and so does a
+/// client in Future::get(), so a small query skips the futex sleep and
+/// wake-up on both sides. A thread that has served nothing parks at once,
+/// so an idle batcher costs no CPU.
 ///
 /// Determinism contract (the reason coalescing is safe to hide behind
 /// futures): every query's answer is a pure function of its own arguments —
@@ -132,7 +140,7 @@ struct QueryFallbacks {
 /// DeadlineExceeded when a per-query Deadline passes in the queue,
 /// ServiceClosed when racing close()). A failure during batch execution —
 /// including injected faults — fails the affected queries' futures and the
-/// flusher keeps serving subsequent batches.
+/// serving thread keeps serving subsequent batches.
 class QueryBatcher {
 public:
     /// Serves transfer/pole queries on `engine` — or, when `engine` is null,
@@ -151,7 +159,7 @@ public:
                  analysis::InputFn input, double delay_level, int observe_port,
                  const QueryBatcherOptions& opts = {});
 
-    /// Drains everything pending, then joins the flusher.
+    /// Drains everything pending, then joins the serving threads.
     ~QueryBatcher();
 
     QueryBatcher(const QueryBatcher&) = delete;
@@ -176,7 +184,7 @@ public:
     /// After close() this is a no-op (everything was drained by close).
     void flush();
 
-    /// Drains everything already submitted, then stops the flusher
+    /// Drains everything already submitted, then stops the serving threads
     /// (idempotent; the destructor calls it). Later submits get ServiceClosed
     /// futures — never an exception into the submitting thread.
     void close();
@@ -205,7 +213,7 @@ private:
     // frequency for transfer, std::monostate otherwise) and its result
     // channel. It carries its obs::QueryTrace — minted at submit (admit),
     // queue-wait span ended when its batch is sealed, stamp/solve/fulfil
-    // spans in the flush lanes, recorded to the TraceStore at fulfilment.
+    // spans while its batch runs, recorded to the TraceStore at fulfilment.
     // An inactive trace (telemetry off) makes every one of those a no-op.
     template <class Arg, class Result>
     struct Query {
@@ -216,20 +224,20 @@ private:
         typename util::ResultSlab<Result>::Channel result;
     };
 
-    /// Everything one query kind owns: its result-channel arena (recycled
-    /// per flush epoch: a slot returns to its slab the moment its batch
-    /// fulfils it and its client collects), its latency histogram and trace
-    /// lane name, and the queries collected into the current batch (touched
-    /// by the flusher and its batch tasks only).
+    /// Everything one query kind shares across the serving threads: its
+    /// result-channel arena (a slot returns to its slab the moment its batch
+    /// fulfils it and its client collects), its latency histogram and its
+    /// trace lane name.
     template <class Arg, class Result>
     struct Lane {
+        using QueryT = Query<Arg, Result>;
+
         Lane(const char* lane_name, obs::Histogram& lane_latency)
             : name(lane_name), latency(lane_latency) {}
 
         const char* name;
         obs::Histogram& latency;
         util::ResultSlab<Result> slab;
-        std::vector<Query<Arg, Result>> pending;
     };
     using TransferLane = Lane<la::cplx, la::ZMatrix>;
     using DelayLane = Lane<std::monostate, DelayResult>;
@@ -238,14 +246,42 @@ private:
     struct FlushItem {
         util::ResultSlab<std::monostate>::Channel done;
     };
-    using Item =
-        std::variant<Query<la::cplx, la::ZMatrix>, Query<std::monostate, DelayResult>,
-                     Query<std::monostate, std::vector<la::cplx>>, FlushItem>;
+    using Item = std::variant<TransferLane::QueryT, DelayLane::QueryT, PoleLane::QueryT,
+                              FlushItem>;
+
+    /// `Server::running` between batches: above every seal number.
+    static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+
+    /// One serving thread's own state, kept for the thread's whole life: the
+    /// batch it collected while it held leadership, and the workspace and
+    /// transient scratch it answers that batch with. Only its thread touches
+    /// it, except `running`.
+    struct Server {
+        template <class LaneT>
+        std::vector<typename LaneT::QueryT>& pending_of(const LaneT&) {
+            return std::get<std::vector<typename LaneT::QueryT>>(pending);
+        }
+
+        std::tuple<std::vector<TransferLane::QueryT>, std::vector<DelayLane::QueryT>,
+                   std::vector<PoleLane::QueryT>>
+            pending;
+        std::optional<FlushItem> ack;  ///< the flush() marker that ended the batch
+        int nqueries = 0;              ///< queries in the batch
+        mor::RomEvalWorkspace ws;
+        /// Made on the thread's first delay query (transfer-only traffic
+        /// never pays for it).
+        std::optional<analysis::TransientBatchRunner::Scratch> scratch;
+        /// Seal number of the batch this thread runs, kIdle between batches.
+        /// Set at seal, under leadership, so seal numbers order every batch;
+        /// a thread acking a flush() marker waits on the others' slots.
+        std::atomic<std::uint64_t> running{kIdle};
+    };
 
     /// QueryBatcherStats storage: relaxed atomics, bumped without a lock.
     /// Every bump is sequenced before the slab fulfilment (a mutex release)
     /// of the tickets it describes, so a stats() read right after a ticket
-    /// resolves already sees it. largest_batch has one writer, the flusher.
+    /// resolves already sees it. largest_batch is a CAS max: every serving
+    /// thread writes it.
     struct Counters {
         std::atomic<long> queries{0};
         std::atomic<long> batches{0};
@@ -263,9 +299,10 @@ private:
         return std::get<Lane<Arg, Result>>(lanes_);
     }
 
+    /// Calls f(lane, pending) for each lane and `server`'s batch of it.
     template <class F>
-    void for_each_lane(F&& f) {
-        std::apply([&](auto&... lane) { (f(lane), ...); }, lanes_);
+    void for_each_lane(Server& server, F&& f) {
+        std::apply([&](auto&... lane) { (f(lane, server.pending_of(lane)), ...); }, lanes_);
     }
 
     /// Deadline triage + admission control shared by the three submits:
@@ -275,30 +312,46 @@ private:
     template <class Arg, class Result>
     Future<Result> admit(Query<Arg, Result> query);
 
-    using Tasks = std::vector<std::function<void()>>;
+    /// One serving thread: take leadership, collect and seal a batch, hand
+    /// leadership on, run the batch, ack its flush() marker; until close().
+    void serve_loop(Server& server);
 
-    void flusher_loop();
-    void execute();
+    /// The leader's half: pops into `server`'s batch under the size/deadline
+    /// policy, with deadline triage, and ends each query's queue-wait span
+    /// at the seal. `spin` = spin before parking on an empty queue. False
+    /// once the queue is closed and drained.
+    bool collect(Server& server, bool spin) REQUIRES(leader_);
+
+    /// Runs `server`'s sealed batch inline: transfer and pole point groups,
+    /// then delay corners.
+    void execute(Server& server);
 
     /// The grouped-point executor shared by the transfer and pole lanes:
-    /// fans `groups` (the lane's pending queries by parameter point) into
-    /// chunk tasks that stamp each point once (engine mode), answer every
-    /// member with `solve(query, ws)` and commit one slab batch per chunk.
+    /// stamps each point of `groups` (the batch's queries by parameter
+    /// point) once (engine mode), answers every member with
+    /// `solve(query, ws)` and commits one slab batch per group.
     template <class LaneT, class Groups, class Solve>
-    void add_grouped_tasks(LaneT& lane, const Groups& groups, Solve solve, Tasks& tasks);
+    void serve_groups(LaneT& lane, const Groups& groups, Solve solve,
+                      mor::RomEvalWorkspace& ws);
 
-    /// The delay lane's chunk tasks: one TransientBatchRunner corner per
-    /// query, all sharing the batch's forcing series.
-    void add_delay_tasks(const std::vector<la::Vector>& forcing, Tasks& tasks);
+    /// The delay lane: one TransientBatchRunner corner per query, all
+    /// sharing the batch's forcing series.
+    void serve_delays(Server& server, const std::vector<la::Vector>& forcing);
 
-    /// Fails every pending query of `lane` with `error` (tolerant: members
-    /// that already answered keep their values) and finishes their traces
-    /// as failures.
-    template <class LaneT>
-    void fail_pending(LaneT& lane, const std::exception_ptr& error);
+    /// Marks `server` idle and wakes any thread waiting to ack a flush().
+    void retire(Server& server);
+
+    /// Blocks until no serving thread runs a batch sealed before `seq`.
+    void wait_for_batches_before(std::uint64_t seq);
+
+    /// Fails every query of `pending` with `error` (tolerant: members that
+    /// already answered keep their values) and finishes their traces as
+    /// failures.
+    template <class LaneT, class Pending>
+    void fail_pending(LaneT& lane, Pending& pending, const std::exception_ptr& error);
 
     /// Closes out a query's trace at fulfilment time: fulfil span (last
-    /// span end → `now_ns`, i.e. until its chunk's slab batch committed),
+    /// span end → `now_ns`, i.e. until its group's slab batch committed),
     /// per-stage + per-lane latency histograms, TraceStore record. No-op
     /// for inactive traces.
     template <class LaneT>
@@ -324,10 +377,20 @@ private:
     obs::Histogram& obs_stamp_;
     obs::Histogram& obs_solve_;
     obs::Histogram& obs_fulfil_;
+    /// Leadership: held by the one serving thread collecting a batch.
+    util::Mutex leader_;
+    std::uint64_t sealed_ GUARDED_BY(leader_) = 0;  ///< batches sealed so far
+    /// flush() acks park here until the batches sealed before them retire.
+    /// `ack_waiters_` lets a retiring thread skip the lock when none wait.
+    util::Mutex retire_mutex_;
+    util::CondVar retired_;
+    std::atomic<int> ack_waiters_{0};
+    /// Built in the constructor before any thread starts; never resized.
+    std::vector<std::unique_ptr<Server>> servers_;
     util::Mutex close_mutex_;  ///< serializes close() callers around the join
     /// Written once in the constructor; joined under close_mutex_ — never
     /// touched concurrently outside that, so deliberately unguarded.
-    std::thread flusher_;  ///< last member: joins before the rest tears down
+    std::vector<std::thread> threads_;  ///< last member: joins before the rest tears down
 };
 
 }  // namespace varmor::service

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <deque>
@@ -7,6 +8,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/spin_wait.h"
 #include "util/thread_annotations.h"
 
 namespace varmor::util {
@@ -22,9 +24,9 @@ enum class PushStatus {
 
 /// Bounded-complexity multi-producer/multi-consumer blocking queue: the
 /// ingress lane of the serving layer. Many logical clients push queries
-/// concurrently; the batcher's flusher drains them in arrival order (the
-/// lock serializes pushes, so "arrival order" is well defined) and applies
-/// its size/deadline coalescing policy via pop_until().
+/// concurrently; the batcher's serving threads drain them in arrival order
+/// (the lock serializes pushes, so "arrival order" is well defined) and apply
+/// their size/deadline coalescing policy via pop_until().
 ///
 /// A non-zero `capacity` bounds the backlog: try_push reports kFull once
 /// `capacity` items are pending, which is the admission-control half of the
@@ -55,6 +57,7 @@ public:
             if (!force && capacity_ != 0 && items_.size() >= capacity_)
                 return PushStatus::kFull;
             items_.push_back(std::move(item));
+            nonempty_.store(true, std::memory_order_relaxed);
         }
         ready_.notify_one();
         return PushStatus::kOk;
@@ -76,7 +79,14 @@ public:
 
     /// Blocks until an item is available (returns it) or the queue is closed
     /// AND drained (returns std::nullopt).
-    std::optional<T> pop() EXCLUDES(mutex_) {
+    ///
+    /// `spin` = poll the non-empty flag for up to util::kSpinBudget before
+    /// parking, for a consumer that expects more work soon (a server that has
+    /// just served a batch): an item pushed within the budget is taken without
+    /// a futex sleep and wake-up. A cold consumer passes false and parks at
+    /// once, so an idle queue costs no CPU.
+    std::optional<T> pop(bool spin = false) EXCLUDES(mutex_) {
+        if (spin) spin_until([this] { return nonempty_.load(std::memory_order_relaxed); });
         MutexLock lock(mutex_);
         while (items_.empty() && !closed_) ready_.wait(mutex_);
         return take_locked();
@@ -142,6 +152,7 @@ private:
     std::optional<T> take_unchecked() REQUIRES(mutex_) {
         std::optional<T> out(std::move(items_.front()));
         items_.pop_front();
+        if (items_.empty()) nonempty_.store(false, std::memory_order_relaxed);
         return out;
     }
 
@@ -150,6 +161,9 @@ private:
     CondVar ready_;
     std::deque<T> items_ GUARDED_BY(mutex_);
     bool closed_ GUARDED_BY(mutex_) = false;
+    /// !items_.empty(), written under mutex_ and read lock-free by a spinning
+    /// pop(). Only a hint: the spinner re-checks items_ under the lock.
+    std::atomic<bool> nonempty_{false};
 };
 
 }  // namespace varmor::util

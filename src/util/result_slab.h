@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/spin_wait.h"
 #include "util/thread_annotations.h"
 
 namespace varmor::util {
@@ -33,7 +35,7 @@ namespace slab_detail {
 /// Shared state of a slab and its tickets. One mutex for the whole slab:
 /// every operation on it is O(1) pointer/flag work (the values themselves
 /// are moved, not copied), and a producer fulfilling through a Batch touches
-/// it once per lane chunk — contention is bounded by batch fulfillment, not
+/// it once per point group — contention is bounded by batch fulfillment, not
 /// by query concurrency.
 template <class T>
 struct SlabCore {
@@ -54,6 +56,10 @@ struct SlabCore {
     std::vector<std::uint32_t> free_list GUARDED_BY(m);
     long long opened GUARDED_BY(m) = 0;
     long long recycled GUARDED_BY(m) = 0;
+    /// Bumped under `m` by every commit that fulfils a slot some ticket still
+    /// waits on. A spinning get() polls it lock-free and re-checks its own
+    /// slot under `m` only when it moves.
+    std::atomic<std::uint64_t> commits{0};
 
     /// Returns a slot whose producer AND consumer are done to the free list.
     void recycle_locked(std::uint32_t idx) REQUIRES(m) {
@@ -108,10 +114,24 @@ public:
     /// Blocks until the result arrives; returns the value or rethrows the
     /// producer's error. One-shot: the ticket is invalid afterwards and the
     /// slot is recycled (once the producer side also finished).
+    ///
+    /// Polls the slab's commit counter for up to util::kSpinBudget before
+    /// parking: a small query's answer usually lands within it, and is then
+    /// collected without a futex sleep and wake-up.
     T get() {
         check(valid(), "ResultTicket: get() on an invalid ticket");
         std::shared_ptr<slab_detail::SlabCore<T>> core = std::move(core_);
         core_.reset();
+        // The sentinel differs from any count a fresh slab reaches, so the
+        // first poll checks the slot before the spin waits for a commit.
+        std::uint64_t seen = ~std::uint64_t{0};
+        spin_until([&] {
+            const std::uint64_t now = core->commits.load(std::memory_order_relaxed);
+            if (now == seen) return false;
+            seen = now;
+            MutexLock lock(core->m);
+            return core->slots[idx_].produced;
+        });
         std::optional<T> value;
         std::exception_ptr error;
         {
@@ -167,7 +187,7 @@ private:
 /// Slab-allocated result-channel arena: the serving layer's replacement for
 /// per-query std::promise/std::future pairs. open() hands out a (Channel,
 /// ResultTicket) pair backed by a pooled slot; the producer fulfils the
-/// channel with set_value/set_error (or, for a whole lane chunk at once,
+/// channel with set_value/set_error (or, for a whole point group at once,
 /// through a Batch), the consumer collects through the ticket, and the slot
 /// returns to the free list the moment both sides are done. After the first flush epoch warms the pool, a query's whole result
 /// round-trip performs ZERO heap allocation (the value itself is moved
@@ -227,11 +247,11 @@ public:
     /// lock taken), then commit() applies the whole batch under ONE slab
     /// lock and wakes the waiters with ONE notify_all. Per-result
     /// fulfilment is a thundering herd — with C blocked clients every
-    /// answer wakes all C to let one proceed; a lane task fulfilling its
-    /// chunk through a Batch pays one wake for the whole chunk instead.
-    /// Stale/double-fulfil tolerance is checked at commit time, entry by
-    /// entry, exactly like the direct calls. The destructor commits, so a
-    /// Batch at task scope cannot strand a channel.
+    /// answer wakes all C to let one proceed; a serving thread fulfilling a
+    /// point group through a Batch pays one wake for the whole group
+    /// instead. Stale/double-fulfil tolerance is checked at commit time,
+    /// entry by entry, exactly like the direct calls. The destructor
+    /// commits, so a scoped Batch cannot strand a channel.
     class Batch {
     public:
         explicit Batch(ResultSlab& slab) : slab_(&slab) {}
@@ -256,6 +276,7 @@ public:
                     notify = slab_->fulfil_locked(e.ch, std::move(e.value),
                                                   std::move(e.error)).notify ||
                              notify;
+                if (notify) slab_->core_->commits.fetch_add(1, std::memory_order_relaxed);
             }
             if (notify) slab_->core_->ready.notify_all();
             pending_.clear();
@@ -308,6 +329,7 @@ private:
         {
             MutexLock lock(core_->m);
             out = fulfil_locked(ch, std::move(value), std::move(error));
+            if (out.notify) core_->commits.fetch_add(1, std::memory_order_relaxed);
         }
         if (out.notify) core_->ready.notify_all();
         return out.accepted;

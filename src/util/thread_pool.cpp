@@ -221,17 +221,6 @@ void ThreadPool::parallel_for(int begin, int end, const std::function<void(int)>
     });
 }
 
-void ThreadPool::parallel_tasks(const std::vector<std::function<void()>>& tasks) {
-    const int n = static_cast<int>(tasks.size());
-    if (n <= 0) return;
-    if (threads_ <= 1 || t_in_pool_section) {
-        for (const auto& task : tasks) task();
-        return;
-    }
-    run_section(std::make_shared<Section>(
-        threads_, n, [&tasks](int u) { tasks[static_cast<std::size_t>(u)](); }));
-}
-
 void ThreadPool::run_chunks(int threads, int begin, int end,
                             const std::function<void(int, int, int)>& fn) {
     if (end <= begin) return;
@@ -241,17 +230,6 @@ void ThreadPool::run_chunks(int threads, int begin, int end,
         global().parallel_chunks(begin, end, fn);
     } else {
         ThreadPool(threads).parallel_chunks(begin, end, fn);
-    }
-}
-
-void ThreadPool::run_tasks(int threads, const std::vector<std::function<void()>>& tasks) {
-    if (tasks.empty()) return;
-    if (threads == 1) {
-        for (const auto& task : tasks) task();
-    } else if (threads <= 0) {
-        global().parallel_tasks(tasks);
-    } else {
-        ThreadPool(threads).parallel_tasks(tasks);
     }
 }
 

@@ -12,15 +12,14 @@
 namespace varmor::util {
 
 /// Fixed-size thread pool for the data-parallel evaluation sweeps (frequency
-/// points, Monte-Carlo samples, corner grids) and the serving layer's mixed
-/// batch lanes. Scheduling is DETERMINISTIC WORK-STEALING: a parallel section
+/// points, Monte-Carlo samples, corner grids). Scheduling is DETERMINISTIC WORK-STEALING: a parallel section
 /// splits its range into more chunks than workers (oversubscription), deals
 /// them out contiguously, and idle workers steal from the tail of a victim's
 /// queue. The chunk -> (rank, chunk_begin, chunk_end) mapping is a pure
 /// function of (range, chunk count), NEVER of which worker ran it, so every
 /// engine built on the pool stays bit-identical to a serial run — only the
 /// claim order is dynamic, which is what absorbs skewed per-item costs
-/// (per-sample Arnoldi counts, mixed transfer/transient lanes).
+/// (per-sample Arnoldi counts, stiff transient corners).
 class ThreadPool {
 public:
     /// Chunks dealt per worker in a parallel section. 1 would reproduce the
@@ -85,24 +84,12 @@ public:
     /// above.
     void parallel_for(int begin, int end, const std::function<void(int i)>& fn);
 
-    /// Heterogeneous units: runs every task in `tasks`, work-stealing across
-    /// the pool exactly like parallel_chunks (each task is one chunk). The
-    /// serving layer uses this to overlap a flush's dense transfer chunks
-    /// with its sparse transient corners on the same workers. Blocks until
-    /// all tasks finished; the first exception is rethrown (tasks that must
-    /// not poison their batch catch internally).
-    void parallel_tasks(const std::vector<std::function<void()>>& tasks);
-
     /// Shared dispatch policy of the evaluation drivers' `threads` knob:
     /// 1 = inline serial (one chunk spanning the range), <= 0 = the global()
     /// pool, n > 1 = a dedicated pool of n. Keeps the policy in one place so
     /// every batch driver (sweeps, MC studies, benches) behaves identically.
     static void run_chunks(int threads, int begin, int end,
                            const std::function<void(int rank, int chunk_begin, int chunk_end)>& fn);
-
-    /// run_chunks' policy for parallel_tasks: 1 = inline serial in index
-    /// order, <= 0 = global() pool, n > 1 = dedicated pool of n.
-    static void run_tasks(int threads, const std::vector<std::function<void()>>& tasks);
 
     /// Snapshot of this pool's scheduling counters (monotonic since
     /// construction or the last reset). Counts only scheduled sections —

@@ -397,7 +397,7 @@ TEST(FaultInjection, OverloadShedsWithFailedFutureNeverThrow) {
     StudyService service(cache, opts);
     StudySession& session = service.open(sys);
 
-    // Hold the flusher inside a batch so the bounded queue actually fills.
+    // Hold the serving thread inside a batch so the bounded queue fills.
     ScopedFault slow("query_batcher.flush", FaultInjector::sleep_for(60.0));
     const cplx s(0.0, 1.0);
     std::vector<Future<ZMatrix>> futures;
@@ -417,7 +417,7 @@ TEST(FaultInjection, OverloadShedsWithFailedFutureNeverThrow) {
         }
     }
     EXPECT_GT(ok, 0) << "admitted queries must still be served";
-    EXPECT_GT(shed, 0) << "a 1-deep queue under a held flusher must shed";
+    EXPECT_GT(shed, 0) << "a 1-deep queue under a held serving thread must shed";
     EXPECT_EQ(other, 0);
     EXPECT_EQ(session.batcher().stats().shed, shed);
     FaultInjector::instance().clear();
@@ -439,10 +439,10 @@ TEST(FaultInjection, ExpiredDeadlineCompletesWithDeadlineExceeded) {
     ASSERT_TRUE(resolves(pre));
     EXPECT_THROW(pre.get(), DeadlineExceeded);
 
-    // Expires while queued behind a held flusher: completed at collection.
+    // Expires while queued behind a held serving thread: completed at collection.
     {
         ScopedFault slow("query_batcher.flush", FaultInjector::sleep_for(80.0));
-        auto first = session.transfer({0.0, 0.0}, s);  // occupies the flusher
+        auto first = session.transfer({0.0, 0.0}, s);  // occupies the serving thread
         auto doomed =
             session.transfer({0.1, 0.0}, s, util::Deadline::after_ms(5.0));
         ASSERT_TRUE(resolves(first));

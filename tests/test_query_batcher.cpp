@@ -1,14 +1,19 @@
 // service::QueryBatcher — coalescing must be invisible in the results: a
 // batch assembled from whatever traffic happened to interleave is BIT-
-// IDENTICAL to serving every query alone, at any execution thread count.
+// IDENTICAL to serving every query alone, at any serving thread count.
 // Also pinned: the size and deadline halves of the flush policy, flush()
-// draining, and per-query error isolation.
+// draining (including batches still running on another serving thread),
+// idle serving threads parking, and per-query error isolation.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>  // std::future_status — the ticket's wait_for vocabulary
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "obs/trace.h"
 #include "service/query_batcher.h"
 #include "util/constants.h"
+#include "util/fault_injection.h"
 
 namespace varmor::service {
 namespace {
@@ -102,9 +108,10 @@ TEST(QueryBatcher, ThreadedCoalescingBitIdenticalToServingAlone) {
     const int kPolesPer = 2;
     const auto s_of = [](int j) { return cplx(0.0, util::two_pi_f(0.01 + 0.05 * j)); };
 
-    // Both execution modes: serial and the process-wide pool — the contract
-    // is "bit-identical at any thread count".
-    for (int exec_threads : {1, 0}) {
+    // One serving thread, two in leader/followers, and as many as the
+    // process-wide pool — the contract is "bit-identical at any thread
+    // count".
+    for (int exec_threads : {1, 2, 0}) {
         QueryBatcherOptions opts;
         opts.max_batch = 16;
         opts.max_wait_ms = 20.0;
@@ -181,7 +188,7 @@ TEST(QueryBatcher, DeadlineFlushesAnUndersizedBatch) {
 TEST(QueryBatcher, QueueWaitSpanCoversTheFlushTimer) {
     // A lone query sits out the whole collect window before the flush timer
     // seals its batch. That wait is queue time: the span must end at the
-    // seal, not when the flusher popped the query.
+    // seal, not when the leader popped the query.
     Fixture fx;
     QueryBatcherOptions opts;
     opts.max_batch = 1000;  // size trigger unreachable
@@ -242,6 +249,58 @@ TEST(QueryBatcher, FlushDrainsEverythingSubmittedBefore) {
 
     // flush() on an idle batcher returns promptly.
     batcher.flush();
+}
+
+TEST(QueryBatcher, FlushWaitsForBatchesSealedBeforeIt) {
+    // Two serving threads: the first query's batch stalls in its stamp on
+    // one thread while the other serves the second query and then collects
+    // the flush marker. That thread must not ack the marker until the
+    // stalled batch — sealed before the marker — has finished too.
+    Fixture fx;
+    QueryBatcherOptions opts;
+    opts.max_batch = 16;
+    opts.max_wait_ms = 0.0;
+    opts.threads = 2;
+    QueryBatcher batcher(fx.engine, nullptr, {}, 0.0, 0, opts);
+
+    const std::vector<double> slow_p = {0.1, -0.1};
+    std::atomic<bool> stalled{false};
+    const util::FaultInjector::Handler stall = util::FaultInjector::sleep_for(300.0);
+    util::ScopedFault fault(
+        "query_batcher.stamp",
+        [&, stall](const std::string& point, const std::string& detail) {
+            if (detail != std::to_string(slow_p[0])) return;
+            stalled.store(true);
+            stall(point, detail);
+        });
+
+    auto slow = batcher.submit_transfer(slow_p, cplx(0.0, 1.0));
+    while (!stalled.load()) std::this_thread::yield();
+    auto fast = batcher.submit_transfer({0.2, -0.1}, cplx(0.0, 1.0));
+    batcher.flush();
+    EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_EQ(fast.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    expect_bit_identical(slow.get(), fx.transfer_alone(slow_p, cplx(0.0, 1.0)));
+}
+
+TEST(QueryBatcher, IdleServingThreadsDoNotSpin) {
+    // A batcher that has served nothing parks every serving thread at once:
+    // over 100 ms of wall time its four threads add (almost) no CPU time.
+    Fixture fx;
+    QueryBatcherOptions opts;
+    opts.threads = 4;
+    QueryBatcher batcher(fx.engine, nullptr, {}, 0.0, 0, opts);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // threads settle
+
+    const auto cpu_ms = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        const auto ms = [](const timeval& tv) { return tv.tv_sec * 1e3 + tv.tv_usec * 1e-3; };
+        return ms(usage.ru_utime) + ms(usage.ru_stime);
+    };
+    const double before = cpu_ms();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_LT(cpu_ms() - before, 5.0);
 }
 
 TEST(QueryBatcher, PerQueryErrorsDoNotPoisonTheBatch) {

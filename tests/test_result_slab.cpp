@@ -5,9 +5,9 @@
 // misdelivered; double fulfilment is tolerated (first answer wins); an
 // abandoned ticket's slot recycles once the producer finishes; tickets
 // outlive the slab that opened them; a Batch buffers fulfilments and lands
-// them under one lock/one wake-up with the same tolerant semantics; and a
+// them under one lock/one wake-up with the same tolerant semantics; a
 // concurrent producer/consumer storm delivers every value to exactly the
-// right ticket.
+// right ticket; and get()'s spin-then-park wait loses no wake-up.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "spin_handoff.h"
 #include "util/result_slab.h"
 
 namespace varmor::util {
@@ -265,6 +266,21 @@ TEST(ResultSlab, MoveOnlyValueTypeMovesThroughTheSlot) {
     const std::unique_ptr<std::string> got = ticket.get();
     ASSERT_TRUE(got != nullptr);
     EXPECT_EQ(*got, "payload");
+}
+
+TEST(ResultSlab, SpinThenParkGetLosesNoWakeUp) {
+    constexpr int kRounds = 1000;
+    ResultSlab<int> slab;
+    std::vector<std::pair<ResultSlab<int>::Channel, ResultTicket<int>>> opened;
+    for (int r = 0; r < kRounds; ++r) opened.push_back(slab.open());
+    varmor::testing::run_handoff_rounds(
+        kRounds, [&](int r) { return opened[static_cast<std::size_t>(r)].second.get(); },
+        [&](int r) { slab.set_value(opened[static_cast<std::size_t>(r)].first, r); },
+        [&] {
+            // Any commit on the slab notifies the condvar the consumer parks on.
+            auto extra = slab.open();
+            slab.set_value(extra.first, -1);
+        });
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The serving layer's concurrency primitives in isolation: the bounded
 // MpmcQueue admission semantics (kOk / kFull / kClosed, item ownership on
-// rejection, force markers), SingleFlight coalescing + failure broadcast +
+// rejection, force markers) and its spin-then-park pop, SingleFlight coalescing + failure broadcast +
 // waiter deadlines, Deadline arithmetic, and FileLock exclusivity.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "spin_handoff.h"
 #include "util/deadline.h"
 #include "util/file_lock.h"
 #include "util/mpmc_queue.h"
@@ -127,6 +128,13 @@ TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {
     const long n = kProducers * kPerProducer;
     EXPECT_EQ(count.load(), n);
     EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(MpmcQueue, SpinThenParkPopLosesNoWakeUp) {
+    MpmcQueue<int> queue;
+    varmor::testing::run_handoff_rounds(
+        1000, [&](int) { return queue.pop(/*spin=*/true).value_or(-1); },
+        [&](int r) { queue.push(r); }, [&] { queue.close(); });
 }
 
 TEST(SingleFlight, ConcurrentCallersCoalesceOntoOneBuild) {

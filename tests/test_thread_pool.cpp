@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -101,40 +100,6 @@ TEST(ThreadPool, StealingRebalancesASkewedSection) {
     for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
     const auto stats = pool.scheduling_stats();
     EXPECT_GE(stats.steals, 1);
-}
-
-TEST(ThreadPool, ParallelTasksRunEveryTaskOnce) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(37);
-    for (auto& h : hits) h.store(0);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
-    pool.parallel_tasks(tasks);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelTasksPropagateExceptions) {
-    ThreadPool pool(4);
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 16; ++i)
-        tasks.push_back([i] {
-            if (i == 11) throw Error("task boom");
-        });
-    EXPECT_THROW(pool.parallel_tasks(tasks), Error);
-    // Pool must still be usable afterwards.
-    std::atomic<int> count{0};
-    pool.parallel_for(0, 8, [&](int) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPool, RunTasksSerialPolicyRunsInlineInOrder) {
-    std::vector<int> order;
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 5; ++i) tasks.push_back([&order, i] { order.push_back(i); });
-    ThreadPool::run_tasks(1, tasks);
-    ASSERT_EQ(order.size(), 5u);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(ThreadPool, SerialPoolRunsInline) {
